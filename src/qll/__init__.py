@@ -7,6 +7,20 @@ hypotheses behind positivity statements, and locate critical spheres by
 constrained gradient descent.
 """
 
+import os
+
+
+def _cap_blas_threads():
+    # BLAS pools read these variables once, when numpy loads, so the cap
+    # must be set before the first numpy import below
+    cap = os.environ.get("QLL_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+
+
+_cap_blas_threads()
+
 from .ambient import (AmbientSpace, attach_efield, catalog, constraint_data_at,
                       curvature_at, nabla_k_at)
 from .criticality import (best_lambda, first_variation_check, hawking_residual,

@@ -121,7 +121,7 @@ def _fd_second(fn, points, h):
         e[d_] = h
         dplus = _fd_first(fn, points + e, h)
         dminus = _fd_first(fn, points - e, h)
-        out[..., d_, :, :] = np.moveaxis((dplus - dminus) / (2.0 * h), -3, -3)
+        out[..., d_, :, :] = (dplus - dminus) / (2.0 * h)
     # symmetrize the derivative pair
     return 0.5 * (out + np.swapaxes(out, -4, -3))
 
@@ -168,6 +168,38 @@ def christoffels_at(space, points):
     return gamma, g, ginv
 
 
+def _ricci(ginv, gamma, dg, d2g):
+    """R_bd = d_a Gamma^a_bd - d_d Gamma^a_ab + Gamma^a_ae Gamma^e_bd - Gamma^a_de Gamma^e_ab.
+
+    Every term is contracted to two indices before a 3x3 result is formed:
+    with Q_c = g^{-1} d_c g and D_{cd,ab} = d_c d_d g_ab as a 9x9 matrix,
+      d_a Gamma^a_bd = -w_e Gamma^e_bd + (S_bd + S_db - (g^{ae} d_a d_e g)_bd) / 2,
+      d_d Gamma^a_ab = (g^{ae} d_d d_b g_ae - tr(Q_d Q_b)) / 2,
+      Gamma^a_ae = tr(Q_e) / 2,
+    where w_e = sum_a (Q_a)_ae and S_bd = g^{ae} d_b d_a g_de.
+    """
+    batch = ginv.shape[:-2]
+    gcol = ginv.reshape(batch + (9, 1))
+    Q = ginv[..., None, :, :] @ dg
+    trQ = np.trace(Q, axis1=-2, axis2=-1)
+    w = np.diagonal(Q, axis1=-3, axis2=-2).sum(axis=-1)
+    D = d2g.reshape(batch + (9, 9))
+    box = np.swapaxes(gcol, -1, -2) @ D     # g^{ae} d_a d_e g_bd
+    trace_hess = D @ gcol                   # g^{ae} d_d d_b g_ae
+    S = np.moveaxis(d2g, -2, -3).reshape(batch + (9, 9)) @ gcol
+    QQ = Q.reshape(batch + (3, 9)) @ np.swapaxes(Q, -1, -2).reshape(batch + (3, 9)).swapaxes(-1, -2)
+    gs = np.ascontiguousarray(np.swapaxes(gamma, -3, -2))    # gs[d, a, e] = Gamma^a_de
+    GG = gs.reshape(batch + (3, 9)) @ gs.reshape(batch + (9, 3))
+    lin = (0.5 * trQ - w)[..., None, :] @ gamma.reshape(batch + (3, 9))
+    S = S.reshape(batch + (3, 3))
+    second = S + np.swapaxes(S, -1, -2) - box.reshape(S.shape) - trace_hess.reshape(S.shape)
+    return lin.reshape(S.shape) + 0.5 * (second + QQ) - GG
+
+
+def _scalar(ginv, ricci):
+    return np.sum(ginv * ricci, axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class CurvatureData:
     christoffels: np.ndarray   # Gamma^a_bc
@@ -198,9 +230,14 @@ def curvature_at(space, points):
                + np.einsum("...ace,...edb->...abcd", gamma, gamma)
                - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
     riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
-    ricci = np.einsum("...abad->...bd", riem_up)
-    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
-    return CurvatureData(gamma, riemann, ricci, scalar, g, ginv)
+    ricci = _ricci(ginv, gamma, dg, d2g)
+    return CurvatureData(gamma, riemann, ricci, _scalar(ginv, ricci), g, ginv)
+
+
+def _nabla_k(gamma, k, dk):
+    """(nabla_a k)_bc = d_a k_bc - Gamma^d_ab k_dc - Gamma^d_ac k_bd."""
+    corr = np.moveaxis(gamma, -3, -1) @ k[..., None, :, :]
+    return dk - corr - np.swapaxes(corr, -1, -2)
 
 
 def nabla_k_at(space, points):
@@ -210,8 +247,43 @@ def nabla_k_at(space, points):
         return np.zeros(points.shape[:-1] + (3, 3, 3))
     g, dg, _, k, dk = _bundle(space, points, need_second=False)
     gamma, _ = _christoffels(g, dg)
-    corr = np.einsum("...dab,...dc->...abc", gamma, k)
-    return dk - corr - np.swapaxes(corr, -1, -2)
+    return _nabla_k(gamma, k, dk)
+
+
+@dataclass(frozen=True)
+class AmbientFields:
+    """Ambient fields that surface quantities read, at a batch of chart points."""
+
+    ricci: np.ndarray      # R_ab
+    scalar: np.ndarray
+    nabla_k: np.ndarray    # (nabla_a k)_bc
+    mu: np.ndarray
+    J: np.ndarray          # covector components J_a
+    jnorm: np.ndarray      # |J|_g
+    ksq: np.ndarray        # |k|^2_g
+
+
+def ambient_fields_at(space, points):
+    """Ric, Sc, nabla k, mu, J and |k|^2 from one derivative bundle.
+
+    2 mu = Sc + (tr k)^2 - |k|^2 and J = div(k - (tr k) g).
+    """
+    g, dg, d2g, k, dk = _bundle(space, points)
+    if k is None:
+        k, dk = np.zeros_like(g), np.zeros_like(dg)
+    gamma, ginv = _christoffels(g, dg)
+    ricci = _ricci(ginv, gamma, dg, d2g)
+    scalar = _scalar(ginv, ricci)
+    nk = _nabla_k(gamma, k, dk)
+    kmix = ginv @ k                          # k^a_b
+    trk = np.trace(kmix, axis1=-2, axis2=-1)
+    ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
+    # J_a = g^{bc} (nabla_b k)_{ca} - g^{bc} (nabla_a k)_{bc}
+    J = (np.einsum("...bc,...bca->...a", ginv, nk)
+         - np.einsum("...bc,...abc->...a", ginv, nk))
+    jnorm = np.sqrt(np.einsum("...ab,...a,...b->...", ginv, J, J))
+    return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=nk,
+                         mu=0.5 * (scalar + trk ** 2 - ksq), J=J, jnorm=jnorm, ksq=ksq)
 
 
 @dataclass(frozen=True)
@@ -223,21 +295,8 @@ class ConstraintData:
 
 def constraint_data_at(space, points):
     """Energy/momentum densities 2 mu = Sc + (tr k)^2 - |k|^2, J = div(k - (tr k) g)."""
-    curv = curvature_at(space, points)
-    ginv = curv.inv_metric
-    k = space.k_tensor(points)
-    trk = np.einsum("...ab,...ab->...", ginv, k)
-    ksq = np.einsum("...ab,...cd,...ac,...bd->...", k, k, ginv, ginv)
-    mu = 0.5 * (curv.scalar + trk ** 2 - ksq)
-    if space.k_fn is None:
-        J = np.zeros(np.asarray(points).shape[:-1] + (3,))
-    else:
-        nk = nabla_k_at(space, points)
-        # J_a = g^{bc} (nabla_b k)_{ca} - g^{bc} (nabla_a k)_{bc}
-        J = (np.einsum("...bc,...bca->...a", ginv, nk)
-             - np.einsum("...bc,...abc->...a", ginv, nk))
-    jnorm = np.sqrt(np.einsum("...ab,...a,...b->...", ginv, J, J))
-    return ConstraintData(mu=mu, J=J, dec_margin=mu - jnorm)
+    f = ambient_fields_at(space, points)
+    return ConstraintData(mu=f.mu, J=f.J, dec_margin=f.mu - f.jnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -252,41 +311,43 @@ def constraint_data_at(space, points):
 
 
 def _outer_xx(points):
-    return np.einsum("...a,...b->...ab", points, points)
+    return points[..., :, None] * points[..., None, :]
 
 
 def _areal_fns(psi, u1, u2):
     eye = np.eye(3)
+    # constant d_c d_d (x_a x_b) = delta_ca delta_db + delta_cb delta_da
+    ddxx = np.einsum("ca,db->cdab", eye, eye) + np.einsum("cb,da->cdab", eye, eye)
+    # d_c (x_a x_b) = x_p ddxx_pcab
+    dxx = ddxx.reshape(3, 27)
+    # u1 (delta_cd x_a x_b + x_c d_d (x_a x_b) + x_d d_c (x_a x_b)) = u1 x_p x_q U_pq,cdab
+    U = (np.einsum("cd,pa,qb->pqcdab", eye, eye, eye)
+         + np.einsum("pc,qdab->pqcdab", eye, ddxx)
+         + np.einsum("pd,qcab->pqcdab", eye, ddxx)).reshape(9, 81)
+    ddxx = ddxx.reshape(81)
 
     def metric(points):
         r = np.linalg.norm(points, axis=-1)
         return eye + psi(r)[..., None, None] * _outer_xx(points)
 
     def dmetric(points):
+        # d_c g_ab = u1 x_c x_a x_b + psi d_c (x_a x_b)
         r = np.linalg.norm(points, axis=-1)
-        x = points
-        u1v = u1(r)[..., None, None, None]
-        psiv = psi(r)[..., None, None, None]
-        xxx = np.einsum("...c,...a,...b->...cab", x, x, x)
-        dxa = np.einsum("ca,...b->...cab", eye, x)
-        dxb = np.einsum("cb,...a->...cab", eye, x)
-        return u1v * xxx + psiv * (dxa + dxb)
+        batch = points.shape[:-1]
+        xxx = _outer_xx(points).reshape(batch + (9, 1)) * points[..., None, :]
+        out = u1(r)[..., None] * xxx.reshape(batch + (27,))
+        out += psi(r)[..., None] * (points @ dxx)
+        return out.reshape(batch + (3, 3, 3))
 
     def d2metric(points):
+        # d_c d_d g_ab = u2 x_c x_d x_a x_b + u1 x_p x_q U_pq,cdab + psi ddxx_cdab
         r = np.linalg.norm(points, axis=-1)
-        x = points
-        u1v = u1(r)[..., None, None, None, None]
-        u2v = u2(r)[..., None, None, None, None]
-        psiv = psi(r)[..., None, None, None, None]
-        xxxx = np.einsum("...c,...d,...a,...b->...cdab", x, x, x, x)
-        t1 = np.einsum("cd,...a,...b->...cdab", eye, x, x)
-        t2 = np.einsum("da,...c,...b->...cdab", eye, x, x)
-        t3 = np.einsum("db,...c,...a->...cdab", eye, x, x)
-        t4 = np.einsum("ca,...d,...b->...cdab", eye, x, x)
-        t5 = np.einsum("cb,...d,...a->...cdab", eye, x, x)
-        t6 = np.einsum("ca,db->cdab", eye, eye) + np.einsum("cb,da->cdab", eye, eye)
-        return (u2v * xxxx + u1v * (t1 + t2 + t3 + t4 + t5)
-                + psiv * np.broadcast_to(t6, points.shape[:-1] + (3, 3, 3, 3)))
+        batch = points.shape[:-1]
+        xx = _outer_xx(points).reshape(batch + (9,))
+        out = ((u2(r)[..., None] * xx)[..., :, None] * xx[..., None, :]).reshape(batch + (81,))
+        out += (u1(r)[..., None] * xx) @ U
+        out += psi(r)[..., None] * ddxx
+        return out.reshape(batch + (3, 3, 3, 3))
 
     return metric, dmetric, d2metric
 

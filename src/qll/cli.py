@@ -18,13 +18,6 @@ from .errors import ConfigError, HypothesisError, QLLError
 GRID_MIN = (16, 32)
 
 
-def _set_thread_cap():
-    cap = os.environ.get("QLL_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 # ---------------------------------------------------------------------------
 # canonical JSON (fixed float formatting, insertion-ordered keys)
 
@@ -317,7 +310,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    _set_thread_cap()
     try:
         args = _build_parser().parse_args(argv)
         raw = _load_config(args.config)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface as sf
-from .ambient import curvature_at, nabla_k_at
 from .errors import NumericError
+from .functionals import hawking_functional
 from .surface import SurfaceMesh
 
 MODES = ("willmore", "hawking")
@@ -35,33 +35,34 @@ class ResidualReport:
 
 
 def _residual_terms(space, geom, mode):
-    curv = curvature_at(space, geom.X)
-    ric_nn = np.einsum("...ab,...a,...b->...", curv.ricci, geom.nu, geom.nu)
+    fields = sf.ambient_fields(space, geom)
+    ric_nn = np.einsum("...ab,...a,...b->...", fields.ricci, geom.nu, geom.nu)
     lap_H = sf.surface_laplacian(geom, geom.H)
     R0 = lap_H + geom.H * geom.traceless_sq + geom.H * ric_nn
     if mode == "hawking" and not space.time_symmetric:
-        nk = nabla_k_at(space, geom.X)
-        dnu_trk = np.einsum("...a,...bc,...abc->...", geom.nu, geom.ginv_amb, nk)
-        dnu_knn = np.einsum("...a,...b,...c,...abc->...",
-                            geom.nu, geom.nu, geom.nu, nk)
         k_up_nu = np.einsum("...ab,...bc,...c->...a", geom.ginv_amb, geom.k_amb, geom.nu)
         div_k = sf.tangential_divergence(geom, k_up_nu)
         gradP = sf.gradient_ambient(geom, geom.P)
         k_gradP_nu = np.einsum("...ab,...a,...b->...", geom.k_amb, gradP, geom.nu)
-        R0 = (R0 + geom.P * (dnu_trk - dnu_knn) - 2.0 * geom.P * div_k
+        R0 = (R0 + geom.P * sf.tangential_trace_dnu_k(geom, fields.nabla_k)
+              - 2.0 * geom.P * div_k
               + 0.5 * geom.H * geom.P ** 2 - 2.0 * k_gradP_nu)
     return R0
+
+
+def _lambda_star(geom, R0):
+    """Least-squares multiplier: lambda* = -int(R0 H) / int(H^2)."""
+    h2 = sf.integrate(geom, geom.H ** 2)
+    if h2 <= 0.0 or not np.isfinite(h2):
+        raise NumericError("degenerate int H^2 dmu in lambda estimate")
+    return -sf.integrate(geom, R0 * geom.H) / h2
 
 
 def best_lambda(space, geom, mode="hawking"):
     """Least-squares multiplier: lambda* = -int(R0 H) / int(H^2)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    h2 = sf.integrate(geom, geom.H ** 2)
-    if h2 <= 0.0 or not np.isfinite(h2):
-        raise NumericError("degenerate int H^2 dmu in lambda estimate")
-    R0 = _residual_terms(space, geom, mode)
-    return -sf.integrate(geom, R0 * geom.H) / h2
+    return _lambda_star(geom, _residual_terms(space, geom, mode))
 
 
 def residual_report(space, geom, mode, lam=None):
@@ -69,10 +70,7 @@ def residual_report(space, geom, mode, lam=None):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     R0 = _residual_terms(space, geom, mode)
-    h2 = sf.integrate(geom, geom.H ** 2)
-    if h2 <= 0.0 or not np.isfinite(h2):
-        raise NumericError("degenerate int H^2 dmu in lambda estimate")
-    lam_star = -sf.integrate(geom, R0 * geom.H) / h2
+    lam_star = _lambda_star(geom, R0)
     if lam is None:
         lam = lam_star
     R = R0 + lam * geom.H
@@ -136,11 +134,11 @@ def first_variation_check(space, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3)):
     W = variation_gradient(space, geom0)
     pred = sf.integrate(geom0, W * alpha)
     rate = radial_rate(geom0, alpha)
-    h0 = 0.25 * sf.integrate(geom0, geom0.H ** 2 - geom0.P ** 2)
+    h0 = hawking_functional(geom0)
 
     def functional(s):
-        g = sf.induced_geometry(space, SurfaceMesh(mesh.grid, mesh.radius + s * rate, mesh.center))
-        return 0.25 * sf.integrate(g, g.H ** 2 - g.P ** 2)
+        return hawking_functional(sf.induced_geometry(
+            space, SurfaceMesh(mesh.grid, mesh.radius + s * rate, mesh.center)))
 
     rows = []
     for s in s_values:

@@ -21,6 +21,7 @@ import numpy as np
 from . import surface as sf
 from .criticality import radial_rate, residual_report
 from .errors import ChartDomainError, FlowError, GeometryError, NumericError
+from .functionals import hawking_functional
 from .harmonics import HarmonicTransform
 from .surface import SurfaceMesh
 
@@ -86,10 +87,6 @@ def descent_speed(space, geom, mode):
     return rep.residual_field
 
 
-def _hawking_functional(geom):
-    return 0.25 * sf.integrate(geom, geom.H ** 2 - geom.P ** 2)
-
-
 def _rescale_to_area(space, mesh, target, rtol=1e-12, max_iter=12):
     geom = sf.induced_geometry(space, mesh)
     for _ in range(max_iter):
@@ -111,7 +108,7 @@ def run_flow(space, config, initial_mesh):
     try:
         mesh, geom = _rescale_to_area(space, initial_mesh, config.target_area)
     except (ChartDomainError, GeometryError, NumericError) as exc:
-        state = FlowState(initial_mesh, "failed", 0, _hawking_functional(geom),
+        state = FlowState(initial_mesh, "failed", 0, hawking_functional(geom),
                           geom.area, float("nan"), [])
         raise FlowError(f"initial mesh cannot reach the target area: {exc}",
                         state=state) from exc
@@ -123,7 +120,7 @@ def run_flow(space, config, initial_mesh):
     dt = config.initial_step * rbar4
     dt_max = 16.0 * config.initial_step * rbar4
 
-    functional = _hawking_functional(geom)
+    functional = hawking_functional(geom)
     history = []
     status = "max_steps"
     step = 0
@@ -159,7 +156,7 @@ def run_flow(space, config, initial_mesh):
             try:
                 trial_mesh, trial_geom = _rescale_to_area(
                     space, SurfaceMesh(grid, new_radius, mesh.center), config.target_area)
-                trial_functional = _hawking_functional(trial_geom)
+                trial_functional = hawking_functional(trial_geom)
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= config.backtrack_factor
                 continue

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surface as sf
-from .ambient import constraint_data_at, nabla_k_at
 from .errors import ConfigError, EmbeddingError, HypothesisError
 
 FOUR_PI = 4.0 * np.pi
@@ -26,10 +25,6 @@ ROUND_K_TOL = 1e-3
 def hawking_functional(geom):
     """H-functional: quarter integral of H^2 - P^2."""
     return 0.25 * sf.integrate(geom, geom.H ** 2 - geom.P ** 2)
-
-
-def willmore_functional(geom):
-    return 0.25 * sf.integrate(geom, geom.H ** 2)
 
 
 def hawking_energy(geom):
@@ -74,19 +69,6 @@ def lambda_hawking_energy(geom, Lambda):
     return np.sqrt(geom.area / SIXTEEN_PI) * (1.0 - val / SIXTEEN_PI)
 
 
-def _pointwise_k_data(space, geom):
-    """|k|^2, nabla_nu tr k, (nabla_nu k)(nu,nu), |J| and mu at the nodes."""
-    k = geom.k_amb
-    ginv = geom.ginv_amb
-    ksq = np.einsum("...ab,...cd,...ac,...bd->...", k, k, ginv, ginv)
-    nk = nabla_k_at(space, geom.X)
-    dnu_trk = np.einsum("...a,...bc,...abc->...", geom.nu, ginv, nk)
-    dnu_knn = np.einsum("...a,...b,...c,...abc->...", geom.nu, geom.nu, geom.nu, nk)
-    cons = constraint_data_at(space, geom.X)
-    jnorm = np.sqrt(np.einsum("...ab,...a,...b->...", ginv, cons.J, cons.J))
-    return ksq, dnu_trk, dnu_knn, jnorm, cons.mu, cons.dec_margin
-
-
 def f_integrals(space, geom, beta=0.25, lam=0.0):
     """Integrals of f - lambda, f_beta - lambda and f_tilde - lambda.
 
@@ -94,10 +76,12 @@ def f_integrals(space, geom, beta=0.25, lam=0.0):
     """
     if np.any(geom.H <= 0.0):
         raise HypothesisError("f requires positive mean curvature at every node")
-    ksq, dnu_trk, dnu_knn, jnorm, _, _ = _pointwise_k_data(space, geom)
+    fields = sf.ambient_fields(space, geom)
+    ksq, jnorm = fields.ksq, fields.jnorm
     H, P, trk = geom.H, geom.P, geom.trk
     ring = geom.traceless_sq
-    core = 0.5 * trk ** 2 - 0.75 * P ** 2 - (P / H) * (dnu_trk - dnu_knn)
+    core = (0.5 * trk ** 2 - 0.75 * P ** 2
+            - (P / H) * sf.tangential_trace_dnu_k(geom, fields.nabla_k))
     f = (P / H) ** 2 * ksq + core - 0.5 * ksq - 0.5 * ring - jnorm
     f_beta = (P / H) ** 2 * ksq + core - beta * (ksq + ring + 2.0 * jnorm)
     grad_logH = sf.gradient_ambient(geom, np.log(H))
@@ -182,7 +166,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=
     hf = 0.25 * (w2 - p2)
     energy = np.sqrt(geom.area / SIXTEEN_PI) * (1.0 - (w2 - p2) / SIXTEEN_PI)
     gb = abs(sf.integrate(geom, geom.gauss_curvature) - FOUR_PI)
-    _, _, _, _, _, dec = _pointwise_k_data(space, geom)
+    fields = sf.ambient_fields(space, geom)
     report = EnergyReport(
         space_name=space.name,
         space_params=dict(space.params),
@@ -193,7 +177,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=
         hawking_functional=hf,
         hawking_energy=float(energy),
         gauss_bonnet_defect=float(gb),
-        dec_min=float(np.min(dec)),
+        dec_min=float(np.min(fields.mu - fields.jnorm)),
     )
     if space.efield_fn is not None:
         Q, eq, conv = charged_hawking_energy(geom, space, extra_charge_sq)

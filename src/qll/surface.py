@@ -8,10 +8,11 @@ intrinsic surface calculus and the Gauss-equation consistency check.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ambient import christoffels_at, curvature_at
+from .ambient import ambient_fields_at, christoffels_at
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid
@@ -123,6 +124,23 @@ class SurfaceGeometry:
     @property
     def grid(self):
         return self.mesh.grid
+
+    @cached_property
+    def ambient(self):
+        """AmbientFields of the space at the nodes, evaluated on first use."""
+        return ambient_fields_at(self.space, self.X)
+
+
+def ambient_fields(space, geom):
+    """AmbientFields of space at the nodes of geom; cached when space is geom.space."""
+    return geom.ambient if space is geom.space else ambient_fields_at(space, geom.X)
+
+
+def tangential_trace_dnu_k(geom, nabla_k):
+    """nabla_nu tr k - (nabla_nu k)(nu, nu) = nu^a (nabla_a k)_bc (g^bc - nu^b nu^c)."""
+    dnu_k = (geom.nu[..., None, :] @ nabla_k.reshape(nabla_k.shape[:-3] + (3, 9)))[..., 0, :]
+    tangential = geom.ginv_amb - geom.nu[..., :, None] * geom.nu[..., None, :]
+    return np.sum(dnu_k * tangential.reshape(dnu_k.shape), axis=-1)
 
 
 def induced_geometry(space, mesh):
@@ -325,7 +343,7 @@ def tangential_divergence(geom, V):
 
 def gauss_equation_check(space, geom):
     """Residual of Sc_Sigma = Sc_M - 2 Ric(nu,nu) + H^2/2 - |B_ring|^2."""
-    curv = curvature_at(space, geom.X)
-    ric_nn = np.einsum("...ab,...a,...b->...", curv.ricci, geom.nu, geom.nu)
-    rhs = curv.scalar - 2.0 * ric_nn + 0.5 * geom.H ** 2 - geom.traceless_sq
+    fields = ambient_fields(space, geom)
+    ric_nn = np.einsum("...ab,...a,...b->...", fields.ricci, geom.nu, geom.nu)
+    rhs = fields.scalar - 2.0 * ric_nn + 0.5 * geom.H ** 2 - geom.traceless_sq
     return 2.0 * geom.gauss_curvature - rhs

@@ -52,9 +52,27 @@ def test_riemann_symmetries(paraboloid):
     assert np.max(np.abs(bianchi)) < 1e-12
 
 
-def test_ricci_is_riemann_contraction(hyperboloid):
-    pts = random_points(np.random.default_rng(2), 8)
-    cv = curvature_at(hyperboloid, pts)
+CATALOG_SHELLS = {
+    "euclidean": ({}, (0.5, 3.0)),
+    "schwarzschild": ({"m": 1.0}, (2.5, 6.0)),
+    "reissner_nordstrom": ({"m": 1.0, "q": 0.5}, (2.2, 6.0)),
+    "hyperboloid": ({"a": 1.0}, (0.5, 3.0)),
+    "paraboloid": ({"alpha": 0.5}, (0.3, 1.8)),
+    "hyperbolic": ({"a": 1.0}, (0.5, 3.0)),
+    "hemisphere": ({"radius": 1.0}, (0.5, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name,fd", [(n, False) for n in CATALOG_SHELLS] + [("hyperboloid", True)],
+                         ids=list(CATALOG_SHELLS) + ["fd-hyperboloid"])
+def test_ricci_is_riemann_contraction(name, fd):
+    # .ricci comes from the Ricci-only kernel, .riemann from the full formula
+    params, shell = CATALOG_SHELLS[name]
+    space = catalog(name, **params)
+    if fd:
+        space = space.with_derivative_mode("fd")
+    pts = random_points(np.random.default_rng(2), 8, *shell)
+    cv = curvature_at(space, pts)
     ric = np.einsum("...ab,...acbd->...cd", cv.inv_metric, cv.riemann)
     assert np.max(np.abs(ric - cv.ricci)) < 1e-11
 

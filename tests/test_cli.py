@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,3 +195,35 @@ def test_canonical_json_formatting():
     text = dumps_canonical(payload)
     assert text == '{"a":1,"b":[0.10000000000000001,null],"c":null,"d":true,"e":"x"}\n'
     assert json.loads(text) == {"a": 1, "b": [0.1, None], "c": None, "d": True, "e": "x"}
+
+
+BLAS_THREADS_PROBE = """
+import ctypes, sys
+import qll
+with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for sym in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            print(fn())
+            sys.exit(0)
+print("none")
+"""
+
+
+def test_qll_threads_caps_openblas_on_import():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps to find the loaded OpenBLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["QLL_THREADS"] = "1"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout.split()
+    if out[-1] == "none":
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert out[-1] == "1"

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qll import surface as sf
-from qll.ambient import catalog
+from qll.ambient import catalog, constraint_data_at, curvature_at, nabla_k_at
+from qll.criticality import residual_report
 from qll.errors import GeometryError
+from qll.functionals import energy_report
 from qll.grids import SphereGrid
 from qll.harmonics import real_harmonic_grid
 
@@ -162,6 +166,66 @@ def test_gauss_equation_refinement(euclidean):
         geom = sf.induced_geometry(euclidean, mesh)
         errs.append(np.max(np.abs(sf.gauss_equation_check(euclidean, geom))))
     assert errs[1] <= max(errs[0] / 4.0, 1e-9)
+
+
+# -- ambient node fields -----------------------------------------------------
+
+def assert_close(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("name,params,r,fd", [
+    ("hyperboloid", {"a": 1.0}, 1.0, False),
+    ("paraboloid", {"alpha": 0.5}, 1.0, False),
+    ("schwarzschild", {"m": 1.0}, 4.0, False),
+    ("hyperboloid", {"a": 1.0}, 1.0, True),
+])
+def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
+    space = catalog(name, **params)
+    if fd:
+        space = space.with_derivative_mode("fd")
+    geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, r, [(2, 1, 0.03)]))
+    fields = sf.ambient_fields(space, geom)
+    assert fields is geom.ambient
+    curv = curvature_at(space, geom.X)
+    cons = constraint_data_at(space, geom.X)
+    assert_close(fields.ricci, curv.ricci)
+    assert_close(fields.scalar, curv.scalar)
+    assert_close(fields.nabla_k, nabla_k_at(space, geom.X))
+    assert_close(fields.mu, cons.mu)
+    assert_close(fields.J, cons.J)
+    assert_close(fields.mu - fields.jnorm, cons.dec_margin)
+
+
+def test_other_space_gets_fresh_fields(grid24, hyperboloid):
+    geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid24, 1.0))
+    other = catalog("hyperboloid", a=2.0)
+    fields = sf.ambient_fields(other, geom)
+    assert fields is not geom.ambient
+    assert_close(fields.scalar, curvature_at(other, geom.X).scalar)
+    assert np.max(np.abs(fields.scalar - geom.ambient.scalar)) > 1.0
+
+
+def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid):
+    calls = {"d2metric_fn": 0, "dk_fn": 0}
+
+    def counted(name):
+        fn = getattr(hyperboloid, name)
+
+        def wrapper(points):
+            calls[name] += 1
+            return fn(points)
+        return wrapper
+
+    space = dataclasses.replace(hyperboloid, d2metric_fn=counted("d2metric_fn"),
+                                dk_fn=counted("dk_fn"))
+    geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, 1.0, [(2, 0, 0.05)]))
+    energy_report(space, geom)
+    residual_report(space, geom, "willmore")
+    residual_report(space, geom, "hawking")
+    sf.gauss_equation_check(space, geom)
+    assert calls["d2metric_fn"] == 1
+    assert calls["dk_fn"] <= 1
 
 
 # -- mesh I/O ----------------------------------------------------------------

@@ -2,8 +2,9 @@
 """Drive a perturbed sphere back to a critical surface by gradient descent.
 
 Runs the area-constrained Willmore flow in Euclidean space from a
-Y_2-perturbed unit sphere, prints the per-step functional/residual trace
-and writes the history plus the final mesh.
+Y_2-perturbed unit sphere and prints the per-step functional/residual
+trace and a summary.  `qll flow` runs the same flow from a config and
+writes the history and the final mesh.
 
 Usage: python scripts/flow_demo.py [amplitude] [ntheta nphi]
 """
@@ -16,13 +17,13 @@ from qll import surface as sf
 from qll.ambient import catalog
 from qll.flow import FlowConfig, run_flow
 from qll.functionals import hawking_energy
+from qll.grids import SphereGrid
 
 
 def main(argv):
     amp = float(argv[1]) if len(argv) > 1 else 0.05
     nt = int(argv[2]) if len(argv) > 2 else 32
     nph = int(argv[3]) if len(argv) > 3 else 64
-    from qll.grids import SphereGrid
 
     space = catalog("euclidean")
     grid = SphereGrid(nt, nph)
@@ -37,9 +38,6 @@ def main(argv):
     print(f"status: {state.status} after {state.step_index} steps")
     print(f"final Hawking energy: {hawking_energy(final):+.3e}")
     print(f"radius spread: {np.max(state.mesh.radius) - np.min(state.mesh.radius):.3e}")
-    state.history_csv("flow_history.csv")
-    sf.save_mesh(state.mesh, "flow_final_mesh.txt")
-    print("wrote flow_history.csv, flow_final_mesh.txt")
 
 
 if __name__ == "__main__":

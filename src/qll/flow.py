@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import surface as sf
-from .criticality import radial_rate, residual_report
+from .criticality import _lambda_star, radial_rate, residual_report
 from .errors import ChartDomainError, FlowError, GeometryError, NumericError
 from .functionals import hawking_functional
 from .harmonics import HarmonicTransform
@@ -67,13 +67,6 @@ class FlowState:
     area: float
     l2_residual: float
     history: list = field(default_factory=list)
-
-    def history_csv(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("step,functional,area,residual,step_size\n")
-            for rec in self.history:
-                fh.write(f"{rec.step},{rec.functional:.17g},{rec.area:.17g},"
-                         f"{rec.residual:.17g},{rec.step_size:.17g}\n")
 
 
 def descent_speed(space, geom, mode):
@@ -135,8 +128,7 @@ def run_flow(space, config, initial_mesh):
             break
 
         speed = transform.filtered(rep.residual_field, damping)
-        h2 = sf.integrate(geom, geom.H ** 2)
-        speed = speed - geom.H * (sf.integrate(geom, geom.H * speed) / h2)
+        speed = speed + _lambda_star(geom, speed) * geom.H
         rate = radial_rate(geom, speed)
 
         accepted = False

@@ -6,8 +6,8 @@ constant-curvature (round-embedding) boundaries, and the positivity
 hypothesis integrands f, f_beta, f_tilde.
 """
 
+import dataclasses
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def brown_york_round(geom):
     return sf.integrate(geom, H0 - geom.H) / (8.0 * np.pi)
 
 
-@dataclass
+@dataclasses.dataclass
 class EnergyReport:
     """Every functional/energy value for one surface, with provenance."""
 
@@ -146,17 +146,8 @@ class EnergyReport:
     beta: float = None
     lam: float = None
 
-    FIELD_ORDER = (
-        "space_name", "space_params", "grid_resolution", "area",
-        "willmore_integral", "p_integral", "hawking_functional",
-        "hawking_energy", "gauss_bonnet_defect", "dec_min",
-        "charge", "charged_energy", "charged_convention",
-        "Lambda", "lambda_energy", "brown_york",
-        "f_integral", "f_beta_integral", "f_tilde_integral", "beta", "lam",
-    )
-
     def as_dict(self):
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=0.0):

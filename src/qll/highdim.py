@@ -8,12 +8,16 @@ equation and both generalized energies is closed form.  At n = 3 all
 values agree with the meshed 3-dimensional modules on the same data.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gamma as gamma_fn
 
 import numpy as np
 
+from . import surface as sf
+from .ambient import _reject_extra, catalog
 from .errors import CatalogError, GeometryError, HypothesisError
+from .functionals import hawking_energy
+from .grids import SphereGrid
 
 _EPS = np.finfo(float).eps
 
@@ -125,18 +129,24 @@ def paraboloid_model(alpha, n=3):
                        catalog_name="paraboloid", catalog_params={"alpha": alpha})
 
 
+# name -> (constructor, default of each parameter besides n)
 RADIAL_CATALOG = {
-    "euclidean": lambda n=3, **kw: euclidean_model(int(n)),
-    "schwarzschild": lambda n=3, m=1.0, **kw: schwarzschild_model(int(n), float(m)),
-    "hyperboloid": lambda a=1.0, **kw: hyperboloid_model(float(a)),
-    "paraboloid": lambda alpha=0.5, **kw: paraboloid_model(float(alpha)),
+    "euclidean": (euclidean_model, {}),
+    "schwarzschild": (schwarzschild_model, {"m": 1.0}),
+    "hyperboloid": (hyperboloid_model, {"a": 1.0}),
+    "paraboloid": (paraboloid_model, {"alpha": 0.5}),
 }
 
 
-def radial_model(name, **params):
+def radial_model(name, n=3, **params):
     if name not in RADIAL_CATALOG:
         raise CatalogError(f"unknown radial model '{name}'")
-    return RADIAL_CATALOG[name](**params)
+    build, defaults = RADIAL_CATALOG[name]
+    _reject_extra(params, defaults)
+    try:
+        return build(n=int(n), **{k: float(params.get(k, v)) for k, v in defaults.items()})
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"invalid parameters for radial model '{name}': {exc}") from exc
 
 
 @dataclass
@@ -166,16 +176,8 @@ class RadialSphereReport:
     f_nd: float = None
     f_nd_integral: float = None
 
-    FIELD_ORDER = (
-        "model", "n", "r", "area", "H", "P", "sc_sigma", "traceless_sq",
-        "ric_nu_nu", "trk", "ksq", "dnu_trk", "dnu_knn", "jnorm", "mu",
-        "energy_1_static", "energy_2_static", "energy_1_dynamic",
-        "energy_2_dynamic", "willmore_nd_residual", "lam", "lambda_star",
-        "f_nd", "f_nd_integral",
-    )
-
     def as_dict(self):
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def radial_sphere(model, r, lam=0.0):
@@ -267,11 +269,6 @@ def nd_energy_consistency(model, r, grid_shape=(48, 96)):
         raise ValueError("the 3-d consistency check needs n = 3")
     if model.catalog_name is None:
         raise ValueError(f"radial model '{model.name}' has no 3-d catalog twin")
-    from . import surface as sf
-    from .ambient import catalog
-    from .functionals import hawking_energy
-    from .grids import SphereGrid
-
     space = catalog(model.catalog_name, **(model.catalog_params or {}))
     grid = SphereGrid(*grid_shape)
     geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, r))

@@ -44,9 +44,6 @@ class SurfaceMesh:
     def scaled(self, factor):
         return SurfaceMesh(self.grid, self.radius * factor, self.center)
 
-    def displaced(self, delta_radius):
-        return SurfaceMesh(self.grid, self.radius + delta_radius, self.center)
-
 
 def coordinate_sphere(grid, r, center=(0.0, 0.0, 0.0)):
     return SurfaceMesh(grid, np.full((grid.ntheta, grid.nphi), float(r)), np.asarray(center, float))
@@ -147,7 +144,6 @@ def induced_geometry(space, mesh):
     grid = mesh.grid
     r = mesh.radius
     X = mesh.embedding()
-    space.check_points(X)
 
     r_t = grid.dtheta(r)
     r_p = grid.dphi(r)

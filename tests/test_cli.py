@@ -1,10 +1,14 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qll import surface as sf
 from qll.cli import dumps_canonical, main
@@ -56,7 +60,11 @@ def test_eval_ellipsoid_mesh_file(tmp_path):
     assert main(["eval", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["hawking_energy"] < 0.0
-    assert (tmp_path / "report.csv").exists()
+    # values such as grid_resolution hold commas, so split off the field only
+    rows = [line.split(",", 1) for line in (tmp_path / "report.csv").read_text().splitlines()]
+    assert rows[0] == ["field", "value"]
+    assert [field for field, _ in rows[1:]] == list(rep)
+    assert [json.loads(value) for _, value in rows[1:]] == list(rep.values())
 
 
 def test_residual_paraboloid_sphere(tmp_path):
@@ -92,6 +100,9 @@ def test_flow_task(tmp_path):
     assert np.max(mesh.radius) - np.min(mesh.radius) < 1e-4
     history = (tmp_path / "flow_history.csv").read_text().splitlines()
     assert history[0] == "step,functional,area,residual,step_size"
+    # one row per recorded step, the initial surface included
+    assert len(history) == summary["steps"] + 2
+    assert float(history[-1].split(",")[3]) == summary["l2_residual"]
 
 
 def test_sweep_task(tmp_path):
@@ -114,11 +125,14 @@ def test_varcheck_task(tmp_path):
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.03]]},
         "varcheck": {"lapse": {"seed": 1, "lmax": 3}},
         "grid": [32, 64],
-        "output": {"dir": str(tmp_path)},
+        "output": {"dir": str(tmp_path), "format": "csv"},
     })
     assert main(["varcheck", "--config", cfg]) == 0
     chk = json.loads((tmp_path / "varcheck.json").read_text())
     assert chk["observed_order"] > 1.8
+    rows = (tmp_path / "varcheck.csv").read_text().splitlines()
+    assert rows[0] == "s,quotient,prediction,abs_error,rel_error"
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [r["s"] for r in chk["rows"]]
 
 
 def test_eval_with_cosmological_constant(tmp_path):
@@ -160,21 +174,89 @@ def test_exit_code_hypothesis_violation(tmp_path):
     assert main(["eval", "--config", cfg]) == 2
 
 
+VALID_RUN = {"space": {"name": "euclidean"}, "surface": {"sphere_r": 1.0}, "grid": [16, 32]}
+
+
+def broken(task, **fields):
+    return task, json.dumps(dict(VALID_RUN, **fields))
+
+
+def broken_sweep(**fields):
+    return "sweep", json.dumps({"sweep": dict({"model": "schwarzschild", "r_values": [4.0]},
+                                              **fields)})
+
+
 @pytest.mark.parametrize("breakage", [
-    lambda p: "{broken",
-    lambda p: json.dumps({"space": {"name": "euclidean"}, "grid": [48, 96]}),
-    lambda p: json.dumps({"space": {"name": "euclidean"},
-                          "surface": {"sphere_r": 1.0, "mesh_file": "x"},
-                          "grid": [48, 96]}),
-    lambda p: json.dumps({"space": {"name": "euclidean"},
-                          "surface": {"sphere_r": 1.0}, "grid": [8, 16]}),
-    lambda p: json.dumps({"space": {"name": "no_such_space"},
-                          "surface": {"sphere_r": 1.0}, "grid": [48, 96]}),
+    lambda: ("eval", "{broken"),
+    lambda: ("eval", json.dumps({"space": {"name": "euclidean"}, "grid": [48, 96]})),
+    lambda: ("eval", json.dumps({"space": {"name": "euclidean"},
+                                 "surface": {"sphere_r": 1.0, "mesh_file": "x"},
+                                 "grid": [48, 96]})),
+    lambda: ("eval", json.dumps({"space": {"name": "euclidean"},
+                                 "surface": {"sphere_r": 1.0}, "grid": [8, 16]})),
+    lambda: ("eval", json.dumps({"space": {"name": "no_such_space"},
+                                 "surface": {"sphere_r": 1.0}, "grid": [48, 96]})),
+    lambda: broken("eval", grid=48),
+    lambda: broken("eval", grid=["48", "96"]),
+    lambda: broken("eval", output="x"),
+    lambda: broken("eval", hypothesis=5),
+    lambda: broken("residual", lambda_el=[1]),
+    lambda: broken("flow", flow={"target_area": "x"}),
+    lambda: broken("varcheck", varcheck={"lapse": [2, 0]}),
+    lambda: broken("varcheck", varcheck={"s_values": [0.0, 0.01]}),
+    lambda: broken_sweep(params=5),
+    lambda: broken_sweep(r_values=5),
+    lambda: broken_sweep(params={"mass": 2.0}),
+    lambda: ("eval", "[1, 2]"),
 ])
-def test_exit_code_config_errors(tmp_path, breakage):
+def test_exit_code_config_errors(tmp_path, capsys, breakage):
+    task, text = breakage()
     path = tmp_path / "run.json"
-    path.write_text(breakage(path))
-    assert main(["eval", "--config", str(path)]) == 1
+    path.write_text(text)
+    assert main([task, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FUZZ_RUNS = {
+    "eval": {"space": {"name": "hyperboloid", "params": {"a": 1.0}},
+             "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.05]],
+                         "center": [0.0, 0.0, 0.1]},
+             "grid": [16, 32], "Lambda": -3.0, "hypothesis": {"beta": 0.25, "lambda": 0.0},
+             "output": {"format": "csv"}},
+    "residual": {"space": {"name": "schwarzschild", "params": {"m": 1.0}},
+                 "surface": {"sphere_r": 4.0}, "grid": [16, 32], "mode": "hawking",
+                 "lambda_el": 0.5, "output": {"format": "csv"}},
+}
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+NON_NUMERIC = st.one_of(st.text(max_size=8), st.booleans(), st.none(),
+                        st.lists(st.text(max_size=4), max_size=3),
+                        st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_non_numeric_field_is_a_typed_error(data):
+    # any one field replaced by a non-numeric value: a report or an exit code, never a crash
+    task = data.draw(st.sampled_from(sorted(FUZZ_RUNS)))
+    raw = copy.deepcopy(FUZZ_RUNS[task])
+    path = data.draw(st.sampled_from(list(_key_paths(raw))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(NON_NUMERIC)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(os.path.join(tmp, "run.json"), raw)
+        assert main([task, "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
 
 
 def test_exit_code_bad_grid_flag(tmp_path):

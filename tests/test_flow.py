@@ -103,16 +103,6 @@ def test_flow_stagnates_below_roundoff_floor(grid32, euclidean):
     assert state.l2_residual < 1e-4
 
 
-def test_history_csv_export(tmp_path, grid32, euclidean):
-    mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
-    state = flow.run_flow(euclidean, willmore_config(), mesh)
-    path = tmp_path / "history.csv"
-    state.history_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,functional,area,residual,step_size"
-    assert len(lines) == len(state.history) + 1
-
-
 def test_flow_failure_carries_state(paraboloid):
     # rescaling toward the target pushes the mesh across the chart boundary
     from qll.errors import FlowError

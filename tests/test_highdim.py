@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,9 +116,28 @@ def test_domain_checks():
         hd.euclidean_model(2)
 
 
+@pytest.mark.parametrize("name,params,r", [
+    ("euclidean", {}, 1.0),
+    ("schwarzschild", {"m": 1.0}, 4.0),
+    ("hyperboloid", {"a": 1.0}, 0.9),
+    ("paraboloid", {"alpha": 0.5}, 0.9),
+])
+def test_radial_model_parameters(name, params, r):
+    assert hd.radial_model(name, **params).n == 3
+    model = hd.radial_model(name, n=4, **params)
+    assert model.n == 4
+    # each catalog model is a vacuum slice in every dimension
+    rep = hd.radial_sphere(model, r)
+    assert rep.n == 4 and abs(rep.mu) < 1e-12 and abs(rep.jnorm) < 1e-12
+    with pytest.raises(CatalogError):
+        hd.radial_model(name, mass=2.0, **params)
+    with pytest.raises(CatalogError):
+        hd.radial_model(name, n=[4], **params)
+
+
 def test_radial_sweep_shapes():
     rows = hd.radial_sweep(hd.schwarzschild_model(4, 1.0), [3.0, 4.0, 5.0])
     assert len(rows) == 3
     assert [r.r for r in rows] == [3.0, 4.0, 5.0]
     d = rows[0].as_dict()
-    assert list(d) == list(rows[0].FIELD_ORDER)
+    assert list(d) == [f.name for f in dataclasses.fields(rows[0])]

@@ -39,10 +39,7 @@ def main(argv):
             geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, float(r)))
             energy = hawking_energy(geom)
             try:
-                import warnings
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    by = brown_york_round(geom)
+                by = brown_york_round(geom)
             except EmbeddingError:
                 by = float("nan")
             if np.all(geom.H > 0):

@@ -28,7 +28,7 @@ from .criticality import (best_lambda, first_variation_check, hawking_residual,
 from .errors import (CatalogError, ChartDomainError, ConfigError, EmbeddingError,
                      FlowError, GeometryError, HypothesisError, NumericError,
                      QLLError)
-from .flow import FlowConfig, FlowState, descent_speed, run_flow
+from .flow import FlowConfig, FlowState, run_flow
 from .functionals import (EnergyReport, brown_york_round, charged_hawking_energy,
                           energy_report, f_integrals, hawking_energy,
                           hawking_functional, lambda_hawking_energy)

@@ -126,46 +126,53 @@ def _fd_second(fn, points, h):
     return 0.5 * (out + np.swapaxes(out, -4, -3))
 
 
-def _bundle(space, points, need_second=True, need_k=True):
-    """g, dg, [d2g], k, dk at points, honoring the derivative mode."""
-    points = np.asarray(points, dtype=float)
-    space.check_points(points)
-    g = space.metric_fn(points)
-    _require_spd(g, space.name)
-    analytic = (space.derivative_mode == "analytic" and space.dmetric_fn is not None)
+def _analytic(space):
+    return space.derivative_mode == "analytic" and space.dmetric_fn is not None
+
+
+def _second_order(space, points):
+    """d2g and dk at points (dk is 0 when k is), honoring the derivative mode."""
+    analytic = _analytic(space)
     if analytic:
-        dg = space.dmetric_fn(points)
-        d2g = space.d2metric_fn(points) if need_second else None
+        d2g = space.d2metric_fn(points)
     else:
-        h1, h2 = _fd_steps(points, space.fd_step)
-        dg = _fd_first(space.metric_fn, points, h1)
-        d2g = _fd_second(space.metric_fn, points, h2) if need_second else None
-    k = dk = None
-    if need_k and space.k_fn is not None:
-        k = space.k_fn(points)
-        if analytic and space.dk_fn is not None:
-            dk = space.dk_fn(points)
-        else:
-            h1, _ = _fd_steps(points, space.fd_step)
-            dk = _fd_first(space.k_fn, points, h1)
-    return g, dg, d2g, k, dk
+        d2g = _fd_second(space.metric_fn, points, _fd_steps(points, space.fd_step)[1])
+    if space.k_fn is None:
+        dk = np.zeros(points.shape[:-1] + (3, 3, 3))
+    elif analytic and space.dk_fn is not None:
+        dk = space.dk_fn(points)
+    else:
+        dk = _fd_first(space.k_fn, points, _fd_steps(points, space.fd_step)[0])
+    return d2g, dk
 
 
-def _christoffels(g, dg):
-    ginv = np.linalg.inv(g)
-    # T_dbc = d_b g_dc + d_c g_db - d_d g_bc
-    T = (np.einsum("...bdc->...dbc", dg)
-         + np.einsum("...cdb->...dbc", dg)
-         - dg)
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, T)
-    return gamma, ginv
+def _first_kind(dg):
+    """T_dbc = d_b g_dc + d_c g_db - d_d g_bc.
+
+    Given d2g it returns d_a T_dbc, because d2g[..., a, :, :, :] = d_a dg.
+    """
+    return (np.einsum("...bdc->...dbc", dg)
+            + np.einsum("...cdb->...dbc", dg)
+            - dg)
+
+
+def _christoffels(ginv, dg):
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, _first_kind(dg))
 
 
 def christoffels_at(space, points):
-    """Gamma^a_bc, plus g and g^{-1}, at the given chart points."""
-    g, dg, _, _, _ = _bundle(space, points, need_second=False, need_k=False)
-    gamma, ginv = _christoffels(g, dg)
-    return gamma, g, ginv
+    """Gamma^a_bc, g, g^{-1} and dg at the given chart points.
+
+    The one evaluation of first-order metric data; it checks chart and SPD.
+    """
+    points = np.asarray(points, dtype=float)
+    g = space.metric(points)
+    if _analytic(space):
+        dg = space.dmetric_fn(points)
+    else:
+        dg = _fd_first(space.metric_fn, points, _fd_steps(points, space.fd_step)[0])
+    ginv = np.linalg.inv(g)
+    return _christoffels(ginv, dg), g, ginv, dg
 
 
 def _ricci(ginv, gamma, dg, d2g):
@@ -211,19 +218,13 @@ class CurvatureData:
 
 
 def curvature_at(space, points):
-    g, dg, d2g, _, _ = _bundle(space, points, need_k=False)
-    gamma, ginv = _christoffels(g, dg)
+    points = np.asarray(points, dtype=float)
+    gamma, g, ginv, dg = christoffels_at(space, points)
+    d2g, _ = _second_order(space, points)
     # dGamma[..., c, a, d, b] = d_c Gamma^a_db
     dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
-    T = (np.einsum("...bdc->...dbc", dg)
-         + np.einsum("...cdb->...dbc", dg)
-         - dg)
-    # dT[..., c, d, b, e] = d_c T_dbe built from second metric derivatives
-    dT = (np.einsum("...cbde->...cdbe", d2g)
-          + np.einsum("...cedb->...cdbe", d2g)
-          - np.einsum("...cdbe->...cdbe", d2g))
-    dgamma = 0.5 * (np.einsum("...cae,...edb->...cadb", dginv, T)
-                    + np.einsum("...ae,...cedb->...cadb", ginv, dT))
+    dgamma = 0.5 * (np.einsum("...cae,...edb->...cadb", dginv, _first_kind(dg))
+                    + np.einsum("...ae,...cedb->...cadb", ginv, _first_kind(d2g)))
     # R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
     riem_up = (np.einsum("...cadb->...abcd", dgamma)
                - np.einsum("...dacb->...abcd", dgamma)
@@ -242,12 +243,7 @@ def _nabla_k(gamma, k, dk):
 
 def nabla_k_at(space, points):
     """(nabla_a k)_bc = d_a k_bc - Gamma^d_ab k_dc - Gamma^d_ac k_bd."""
-    points = np.asarray(points, dtype=float)
-    if space.k_fn is None:
-        return np.zeros(points.shape[:-1] + (3, 3, 3))
-    g, dg, _, k, dk = _bundle(space, points, need_second=False)
-    gamma, _ = _christoffels(g, dg)
-    return _nabla_k(gamma, k, dk)
+    return ambient_fields_at(space, points).nabla_k
 
 
 @dataclass(frozen=True)
@@ -264,14 +260,19 @@ class AmbientFields:
 
 
 def ambient_fields_at(space, points):
-    """Ric, Sc, nabla k, mu, J and |k|^2 from one derivative bundle.
+    """Ric, Sc, nabla k, mu, J and |k|^2 at chart points."""
+    points = np.asarray(points, dtype=float)
+    _, _, ginv, dg = christoffels_at(space, points)
+    return _fields(space, points, ginv, dg, space.k_tensor(points))
+
+
+def _fields(space, points, ginv, dg, k):
+    """AmbientFields from first-order data already evaluated at points.
 
     2 mu = Sc + (tr k)^2 - |k|^2 and J = div(k - (tr k) g).
     """
-    g, dg, d2g, k, dk = _bundle(space, points)
-    if k is None:
-        k, dk = np.zeros_like(g), np.zeros_like(dg)
-    gamma, ginv = _christoffels(g, dg)
+    d2g, dk = _second_order(space, points)
+    gamma = _christoffels(ginv, dg)
     ricci = _ricci(ginv, gamma, dg, d2g)
     scalar = _scalar(ginv, ricci)
     nk = _nabla_k(gamma, k, dk)

@@ -69,19 +69,8 @@ class FlowState:
     history: list = field(default_factory=list)
 
 
-def descent_speed(space, geom, mode):
-    """Per-node normal speed: the lambda*-projected lambda=0 residual.
-
-    The projection alpha -> alpha - H int(H alpha) / int(H^2) realizes the
-    area constraint int(H alpha) dmu = 0; for the residual this is exactly
-    the evaluation at the least-squares multiplier.
-    """
-    rep = residual_report(space, geom, mode)
-    return rep.residual_field
-
-
-def _rescale_to_area(space, mesh, target, rtol=1e-12, max_iter=12):
-    geom = sf.induced_geometry(space, mesh)
+def _rescale_to_area(space, geom, target, rtol=1e-12, max_iter=12):
+    mesh = geom.mesh
     for _ in range(max_iter):
         c = np.sqrt(target / geom.area)
         if abs(c - 1.0) < rtol:
@@ -99,7 +88,7 @@ def run_flow(space, config, initial_mesh):
     if abs(geom.area - config.target_area) > 0.5 * config.target_area:
         raise ValueError("initial area differs from target_area by more than 50%")
     try:
-        mesh, geom = _rescale_to_area(space, initial_mesh, config.target_area)
+        mesh, geom = _rescale_to_area(space, geom, config.target_area)
     except (ChartDomainError, GeometryError, NumericError) as exc:
         state = FlowState(initial_mesh, "failed", 0, hawking_functional(geom),
                           geom.area, float("nan"), [])
@@ -128,6 +117,8 @@ def run_flow(space, config, initial_mesh):
             break
 
         speed = transform.filtered(rep.residual_field, damping)
+        # the lambda* projection alpha -> alpha - H int(H alpha) / int(H^2)
+        # enforces the area constraint int(H alpha) dmu = 0
         speed = speed + _lambda_star(geom, speed) * geom.H
         rate = radial_rate(geom, speed)
 
@@ -146,8 +137,8 @@ def run_flow(space, config, initial_mesh):
                 trial_dt *= config.backtrack_factor
                 continue
             try:
-                trial_mesh, trial_geom = _rescale_to_area(
-                    space, SurfaceMesh(grid, new_radius, mesh.center), config.target_area)
+                trial_geom = sf.induced_geometry(space, SurfaceMesh(grid, new_radius, mesh.center))
+                trial_mesh, trial_geom = _rescale_to_area(space, trial_geom, config.target_area)
                 trial_functional = hawking_functional(trial_geom)
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= config.backtrack_factor

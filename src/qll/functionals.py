@@ -7,12 +7,14 @@ hypothesis integrands f, f_beta, f_tilde.
 """
 
 import dataclasses
-import warnings
+import logging
 
 import numpy as np
 
 from . import surface as sf
 from .errors import ConfigError, EmbeddingError, HypothesisError
+
+log = logging.getLogger(__name__)
 
 FOUR_PI = 4.0 * np.pi
 SIXTEEN_PI = 16.0 * np.pi
@@ -33,25 +35,23 @@ def hawking_energy(geom):
     return np.sqrt(geom.area / SIXTEEN_PI) * (1.0 - hp / SIXTEEN_PI)
 
 
-def charge_flux(geom, space=None):
-    space = space if space is not None else geom.space
-    E = space.efield(geom.X)
+def charge_flux(geom):
+    E = geom.space.efield(geom.X)
     if E is None:
-        raise ConfigError(f"space '{space.name}' carries no electric field")
+        raise ConfigError(f"space '{geom.space.name}' carries no electric field")
     flux = np.einsum("...ab,...a,...b->...", geom.g_amb, E, geom.nu)
     return sf.integrate(geom, flux) / FOUR_PI
 
 
-def charged_hawking_energy(geom, space=None, extra_charge_sq=0.0):
+def charged_hawking_energy(geom, extra_charge_sq=0.0):
     """Charge Q and energy E_Q.
 
     Time-symmetric data uses the H^2 form; for k != 0 the same expression
     with H^2 - P^2 is used and flagged in the returned convention string.
     extra_charge_sq adds a magnetic-charge Q_B^2 to the Q^2 term.
     """
-    space = space if space is not None else geom.space
-    Q = charge_flux(geom, space)
-    if space.time_symmetric:
+    Q = charge_flux(geom)
+    if geom.space.time_symmetric:
         integrand = geom.H ** 2
         convention = "H2"
     else:
@@ -114,8 +114,8 @@ def brown_york_round(geom):
             f"Gauss curvature varies by {spread:.2e} (> {ROUND_K_TOL:.0e}); "
             "general isometric embedding is not supported")
     if not geom.space.time_symmetric and float(np.max(np.abs(geom.P))) > 1e-12:
-        warnings.warn("Brown-York comparison on k != 0 data: the positivity "
-                      "hypotheses do not apply", stacklevel=2)
+        log.info("Brown-York comparison on k != 0 data: the positivity "
+                 "hypotheses do not apply")
     H0 = 2.0 * np.sqrt(kbar)
     return sf.integrate(geom, H0 - geom.H) / (8.0 * np.pi)
 
@@ -171,7 +171,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=
         dec_min=float(np.min(fields.mu - fields.jnorm)),
     )
     if space.efield_fn is not None:
-        Q, eq, conv = charged_hawking_energy(geom, space, extra_charge_sq)
+        Q, eq, conv = charged_hawking_energy(geom, extra_charge_sq)
         report.charge, report.charged_energy, report.charged_convention = float(Q), eq, conv
     if Lambda is not None:
         report.Lambda = float(Lambda)

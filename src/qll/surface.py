@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import ambient_fields_at, christoffels_at
+from .ambient import _fields, christoffels_at
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid
@@ -102,6 +102,7 @@ class SurfaceGeometry:
     nu: np.ndarray              # outward unit normal, ambient components
     g_amb: np.ndarray           # ambient metric at nodes
     ginv_amb: np.ndarray
+    dg_amb: np.ndarray          # ambient metric derivatives d_c g_ab at nodes
     k_amb: np.ndarray           # ambient k at nodes (zeros when time symmetric)
     induced_metric: np.ndarray  # (nt, np, 2, 2)
     inv_induced: np.ndarray
@@ -124,13 +125,15 @@ class SurfaceGeometry:
 
     @cached_property
     def ambient(self):
-        """AmbientFields of the space at the nodes, evaluated on first use."""
-        return ambient_fields_at(self.space, self.X)
+        """AmbientFields at the nodes, built on first use from g^{-1}, dg and k."""
+        return _fields(self.space, self.X, self.ginv_amb, self.dg_amb, self.k_amb)
 
 
 def ambient_fields(space, geom):
-    """AmbientFields of space at the nodes of geom; cached when space is geom.space."""
-    return geom.ambient if space is geom.space else ambient_fields_at(space, geom.X)
+    """The cached AmbientFields of geom; space must be the one geom was built on."""
+    if space is not geom.space:
+        raise ValueError(f"geometry was built on another space than this '{space.name}'")
+    return geom.ambient
 
 
 def tangential_trace_dnu_k(geom, nabla_k):
@@ -159,7 +162,7 @@ def induced_geometry(space, mesh):
             + r_p[..., None] * nh_t + r[..., None] * grid.dthph_nhat)
     X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
 
-    gamma, g, ginv = christoffels_at(space, X)
+    gamma, g, ginv, dg = christoffels_at(space, X)
 
     def dot(u, v):
         return np.einsum("...ab,...a,...b->...", g, u, v)
@@ -220,7 +223,7 @@ def induced_geometry(space, mesh):
 
     geom = SurfaceGeometry(
         space=space, mesh=mesh, X=X, e_theta=e_t, e_phi=e_p, nu=nu,
-        g_amb=g, ginv_amb=ginv, k_amb=k,
+        g_amb=g, ginv_amb=ginv, dg_amb=dg, k_amb=k,
         induced_metric=g2, inv_induced=ginv2, det_induced=det2,
         area_element=J, second_form=B, H=H, traceless_sq=traceless_sq,
         trk=trk, k_nu_nu=k_nu_nu, P=P, gauss_curvature=K,

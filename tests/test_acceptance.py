@@ -128,7 +128,7 @@ def test_criterion_5_charged():
         space = catalog("reissner_nordstrom", m=1.0, q=0.5)
         for r in (3.0, 4.0):
             geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, r))
-            Q, eq, _ = fn.charged_hawking_energy(geom, space)
+            Q, eq, _ = fn.charged_hawking_energy(geom)
             assert abs(Q - 0.5) < 1e-8
             assert abs(eq - 1.0) < 1e-6
             assert eq >= fn.hawking_energy(geom)

@@ -35,6 +35,23 @@ def test_eval_hyperboloid_sphere(tmp_path):
     assert rep["grid_resolution"] == [48, 96]
 
 
+def test_eval_on_k_data_keeps_stderr_empty(tmp_path):
+    cfg = write_config(tmp_path / "run.json", {
+        "space": {"name": "hyperboloid", "params": {"a": 1.0}},
+        "surface": {"sphere_r": 1.0},
+        "grid": [16, 32],
+        "output": {"dir": str(tmp_path)},
+    })
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qll.cli", "eval", "--config", cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads((tmp_path / "report.json").read_text())["brown_york"] is not None
+
+
 def test_eval_deterministic_bytes(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
         "space": {"name": "schwarzschild", "params": {"m": 1.0}},

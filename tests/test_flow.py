@@ -3,6 +3,7 @@ import pytest
 
 from qll import flow
 from qll import surface as sf
+from qll.criticality import residual_report
 from qll.functionals import hawking_energy
 
 
@@ -12,23 +13,23 @@ def willmore_config(**kw):
     return flow.FlowConfig(**defaults)
 
 
-# -- descent_speed -----------------------------------------------------------
+# -- descent speed: the lambda*-projected residual ---------------------------
 
 def test_speed_vanishes_at_critical_point(grid32, euclidean):
     geom = sf.induced_geometry(euclidean, sf.coordinate_sphere(grid32, 1.0))
-    speed = flow.descent_speed(euclidean, geom, "willmore")
+    speed = residual_report(euclidean, geom, "willmore").residual_field
     assert np.max(np.abs(speed)) < 1e-6
 
 
 def test_speed_vanishes_on_hyperboloid_sphere(grid32, hyperboloid):
     geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid32, 1.0))
-    speed = flow.descent_speed(hyperboloid, geom, "hawking")
+    speed = residual_report(hyperboloid, geom, "hawking").residual_field
     assert np.max(np.abs(speed)) < 1e-6
 
 
 def test_speed_area_neutral_on_ellipsoid(grid32, euclidean):
     geom = sf.induced_geometry(euclidean, sf.ellipsoid(grid32, (1.0, 1.0, 1.1)))
-    speed = flow.descent_speed(euclidean, geom, "willmore")
+    speed = residual_report(euclidean, geom, "willmore").residual_field
     assert np.max(np.abs(speed)) > 1e-3
     assert abs(sf.integrate(geom, geom.H * speed)) < 1e-10
 
@@ -118,7 +119,7 @@ def test_flow_failure_carries_state(paraboloid):
 
 
 def test_area_rescale_exact_in_curved_space(grid32, hyperboloid):
-    mesh, geom = flow._rescale_to_area(hyperboloid,
-                                       sf.coordinate_sphere(grid32, 1.1),
-                                       4.0 * np.pi)
+    start = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid32, 1.1))
+    mesh, geom = flow._rescale_to_area(hyperboloid, start, 4.0 * np.pi)
+    assert geom.mesh is mesh
     assert abs(geom.area - 4.0 * np.pi) / (4.0 * np.pi) < 1e-10

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def test_energy_bound_saturated_on_minimal_equator(grid32):
 def test_zero_field_charge(grid32, euclidean):
     space = attach_efield(euclidean, lambda pts: np.zeros_like(pts))
     geom = sf.induced_geometry(space, sf.coordinate_sphere(grid32, 1.0))
-    Q, eq, _ = fn.charged_hawking_energy(geom, space)
+    Q, eq, _ = fn.charged_hawking_energy(geom)
     assert abs(Q) < 1e-14
     assert abs(eq - fn.hawking_energy(geom)) < 1e-12
 
@@ -69,14 +71,14 @@ def test_zero_field_charge(grid32, euclidean):
 def test_missing_field_is_config_error(grid32, euclidean):
     geom = sf.induced_geometry(euclidean, sf.coordinate_sphere(grid32, 1.0))
     with pytest.raises(ConfigError):
-        fn.charge_flux(geom, euclidean)
+        fn.charge_flux(geom)
 
 
 def test_reissner_nordstrom_charge_and_energy(grid48):
     space = catalog("reissner_nordstrom", m=1.0, q=0.5)
     for r in (3.0, 4.0):
         geom = sf.induced_geometry(space, sf.coordinate_sphere(grid48, r))
-        Q, eq, conv = fn.charged_hawking_energy(geom, space)
+        Q, eq, conv = fn.charged_hawking_energy(geom)
         assert abs(Q - 0.5) < 1e-8
         assert abs(eq - 1.0) < 1e-6
         assert conv == "H2"
@@ -86,8 +88,8 @@ def test_reissner_nordstrom_charge_and_energy(grid48):
 def test_magnetic_charge_term(grid32):
     space = catalog("reissner_nordstrom", m=1.0, q=0.5)
     geom = sf.induced_geometry(space, sf.coordinate_sphere(grid32, 4.0))
-    _, eq0, _ = fn.charged_hawking_energy(geom, space)
-    _, eqb, _ = fn.charged_hawking_energy(geom, space, extra_charge_sq=0.25)
+    _, eq0, _ = fn.charged_hawking_energy(geom)
+    _, eqb, _ = fn.charged_hawking_energy(geom, extra_charge_sq=0.25)
     assert eqb > eq0
 
 
@@ -181,10 +183,13 @@ def test_brown_york_large_r_limit(schwarzschild):
     assert abs(fn.brown_york_round(geom) - 1.0) < 2e-3
 
 
-def test_brown_york_warns_on_k_data(grid32, hyperboloid):
+def test_brown_york_warns_on_k_data(grid32, hyperboloid, caplog):
     geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid32, 1.0))
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.INFO, logger="qll.functionals"):
         val = fn.brown_york_round(geom)
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("qll.functionals", logging.INFO)
+    assert "k != 0" in record.getMessage()
     assert abs(val - (1.0 - np.sqrt(2.0))) < 1e-8
     assert val < 0.0
 

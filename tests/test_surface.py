@@ -9,7 +9,7 @@ from qll import surface as sf
 from qll.ambient import catalog, constraint_data_at, curvature_at, nabla_k_at
 from qll.criticality import residual_report
 from qll.errors import GeometryError
-from qll.functionals import energy_report
+from qll.functionals import energy_report, f_integrals
 from qll.grids import SphereGrid
 from qll.harmonics import real_harmonic_grid
 
@@ -197,17 +197,19 @@ def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
     assert_close(fields.mu - fields.jnorm, cons.dec_margin)
 
 
-def test_other_space_gets_fresh_fields(grid24, hyperboloid):
+@pytest.mark.parametrize("evaluate", [
+    energy_report, f_integrals, sf.gauss_equation_check,
+    lambda space, geom: residual_report(space, geom, "hawking"),
+], ids=["energy_report", "f_integrals", "gauss_equation_check", "residual_report"])
+def test_other_space_is_rejected(grid24, hyperboloid, evaluate):
     geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid24, 1.0))
-    other = catalog("hyperboloid", a=2.0)
-    fields = sf.ambient_fields(other, geom)
-    assert fields is not geom.ambient
-    assert_close(fields.scalar, curvature_at(other, geom.X).scalar)
-    assert np.max(np.abs(fields.scalar - geom.ambient.scalar)) > 1.0
+    # equal catalog data, but not the space the geometry was built on
+    with pytest.raises(ValueError, match="built on"):
+        evaluate(catalog("hyperboloid", a=1.0), geom)
 
 
 def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid):
-    calls = {"d2metric_fn": 0, "dk_fn": 0}
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "d2metric_fn", "k_fn", "dk_fn"), 0)
 
     def counted(name):
         fn = getattr(hyperboloid, name)
@@ -217,15 +219,13 @@ def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid):
             return fn(points)
         return wrapper
 
-    space = dataclasses.replace(hyperboloid, d2metric_fn=counted("d2metric_fn"),
-                                dk_fn=counted("dk_fn"))
+    space = dataclasses.replace(hyperboloid, **{name: counted(name) for name in calls})
     geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, 1.0, [(2, 0, 0.05)]))
     energy_report(space, geom)
     residual_report(space, geom, "willmore")
     residual_report(space, geom, "hawking")
     sf.gauss_equation_check(space, geom)
-    assert calls["d2metric_fn"] == 1
-    assert calls["dk_fn"] <= 1
+    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "d2metric_fn": 1, "k_fn": 1, "dk_fn": 1}
 
 
 # -- mesh I/O ----------------------------------------------------------------

@@ -23,8 +23,7 @@ _cap_blas_threads()
 
 from .ambient import (AmbientSpace, attach_efield, catalog, constraint_data_at,
                       curvature_at, nabla_k_at)
-from .criticality import (best_lambda, first_variation_check, hawking_residual,
-                          residual_report, willmore_residual)
+from .criticality import first_variation_check, residual_report
 from .errors import (CatalogError, ChartDomainError, ConfigError, EmbeddingError,
                      FlowError, GeometryError, HypothesisError, NumericError,
                      QLLError)

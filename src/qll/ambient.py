@@ -32,7 +32,6 @@ class AmbientSpace:
     efield_fn: object = None       # electric vector field (optional extra data)
     derivative_mode: str = "analytic"
     fd_step: float = None
-    dimension: int = 3
 
     @property
     def time_symmetric(self):

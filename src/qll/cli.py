@@ -72,13 +72,19 @@ def _records_table(cls, records):
             (dataclasses.astuple(rec) for rec in records))
 
 
+def _csv_cell(v):
+    """Canonical text of v, quoted RFC 4180 style when it holds a comma."""
+    text = _dump_value(v)
+    return '"' + text.replace('"', '""') + '"' if "," in text else text
+
+
 def _csv_text(content):
     """A {field: value} dict becomes a field,value table; (header, rows) a table."""
     if isinstance(content, dict):
-        lines = ["field,value"] + [f"{k},{_dump_value(v)}" for k, v in content.items()]
+        lines = ["field,value"] + [f"{k},{_csv_cell(v)}" for k, v in content.items()]
     else:
         header, rows = content
-        lines = [",".join(header)] + [",".join(map(_dump_value, row)) for row in rows]
+        lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

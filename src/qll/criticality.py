@@ -58,15 +58,8 @@ def _lambda_star(geom, R0):
     return -sf.integrate(geom, R0 * geom.H) / h2
 
 
-def best_lambda(space, geom, mode="hawking"):
-    """Least-squares multiplier: lambda* = -int(R0 H) / int(H^2)."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    return _lambda_star(geom, _residual_terms(space, geom, mode))
-
-
 def residual_report(space, geom, mode, lam=None):
-    """Residual at the given multiplier (default: least-squares lambda*)."""
+    """Residual at multiplier lam (default: least-squares lambda*, always in .lambda_star)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     R0 = _residual_terms(space, geom, mode)
@@ -78,19 +71,6 @@ def residual_report(space, geom, mode, lam=None):
     return ResidualReport(mode=mode, lam=float(lam), residual_field=R,
                           lambda_star=float(lam_star), l2_residual=float(l2),
                           linf_residual=float(np.max(np.abs(R))))
-
-
-def willmore_residual(space, geom, lam=0.0):
-    return residual_report(space, geom, "willmore", lam)
-
-
-def hawking_residual(space, geom, lam=0.0):
-    return residual_report(space, geom, "hawking", lam)
-
-
-def variation_gradient(space, geom):
-    """W with d/ds [quarter-integral of H^2 - P^2] = int W alpha dmu."""
-    return -0.5 * _residual_terms(space, geom, "hawking")
 
 
 def radial_rate(geom, alpha):
@@ -131,7 +111,8 @@ class VariationCheck:
 def first_variation_check(space, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3)):
     """Central-difference check of the first variation along lapse alpha."""
     geom0 = sf.induced_geometry(space, mesh)
-    W = variation_gradient(space, geom0)
+    # W with d/ds [quarter-integral of H^2 - P^2] = int W alpha dmu
+    W = -0.5 * _residual_terms(space, geom0, "hawking")
     pred = sf.integrate(geom0, W * alpha)
     rate = radial_rate(geom0, alpha)
     h0 = hawking_functional(geom0)

@@ -26,6 +26,7 @@ from .harmonics import HarmonicTransform
 from .surface import SurfaceMesh
 
 FOUR_PI = 4.0 * np.pi
+STEP_GROWTH = 1.2                     # step-size growth after an accepted step
 
 
 @dataclass
@@ -38,7 +39,6 @@ class FlowConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
     smoothing_tau: float = 0.05       # damping 1 / (1 + tau (l(l+1))^2)
-    step_growth: float = 1.2
 
     def __post_init__(self):
         if self.mode not in ("willmore", "hawking"):
@@ -47,6 +47,13 @@ class FlowConfig:
             raise ValueError("target_area and residual_tol must be positive")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise ValueError("backtracking factor must lie in (0, 1)")
+        if not self.initial_step > 0:
+            raise ValueError("initial_step must be positive")
+        if not self.smoothing_tau >= 0:
+            raise ValueError("smoothing_tau must be >= 0")
+        for name in ("max_steps", "max_backtracks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -146,7 +153,7 @@ def run_flow(space, config, initial_mesh):
             degenerate_only = False
             if trial_functional <= functional:
                 mesh, geom, functional = trial_mesh, trial_geom, trial_functional
-                dt = min(trial_dt * config.step_growth, dt_max)
+                dt = min(trial_dt * STEP_GROWTH, dt_max)
                 accepted = True
                 break
             trial_dt *= config.backtrack_factor

@@ -24,6 +24,11 @@ SIXTEEN_PI = 16.0 * np.pi
 ROUND_K_TOL = 1e-3
 
 
+def _hawking_mass(area, integral, charge_term=0.0):
+    """sqrt(|S|/16pi) (1 + charge_term - integral/16pi), shared by every energy."""
+    return np.sqrt(area / SIXTEEN_PI) * (1.0 + charge_term - integral / SIXTEEN_PI)
+
+
 def hawking_functional(geom):
     """H-functional: quarter integral of H^2 - P^2."""
     return 0.25 * sf.integrate(geom, geom.H ** 2 - geom.P ** 2)
@@ -31,8 +36,7 @@ def hawking_functional(geom):
 
 def hawking_energy(geom):
     """sqrt(|S|/16pi) (1 - (1/16pi) int (H^2 - P^2) dmu)."""
-    hp = sf.integrate(geom, geom.H ** 2 - geom.P ** 2)
-    return np.sqrt(geom.area / SIXTEEN_PI) * (1.0 - hp / SIXTEEN_PI)
+    return _hawking_mass(geom.area, sf.integrate(geom, geom.H ** 2 - geom.P ** 2))
 
 
 def charge_flux(geom):
@@ -57,16 +61,14 @@ def charged_hawking_energy(geom, extra_charge_sq=0.0):
     else:
         integrand = geom.H ** 2 - geom.P ** 2
         convention = "H2-P2"
-    val = np.sqrt(geom.area / SIXTEEN_PI) * (
-        1.0 + FOUR_PI * (Q ** 2 + extra_charge_sq) / geom.area
-        - sf.integrate(geom, integrand) / SIXTEEN_PI)
+    val = _hawking_mass(geom.area, sf.integrate(geom, integrand),
+                        FOUR_PI * (Q ** 2 + extra_charge_sq) / geom.area)
     return Q, float(val), convention
 
 
 def lambda_hawking_energy(geom, Lambda):
     """Hawking energy with cosmological constant (time-symmetric form)."""
-    val = sf.integrate(geom, geom.H ** 2 + (4.0 / 3.0) * Lambda)
-    return np.sqrt(geom.area / SIXTEEN_PI) * (1.0 - val / SIXTEEN_PI)
+    return _hawking_mass(geom.area, sf.integrate(geom, geom.H ** 2 + (4.0 / 3.0) * Lambda))
 
 
 def f_integrals(space, geom, beta=0.25, lam=0.0):
@@ -152,10 +154,11 @@ class EnergyReport:
 
 def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=0.0):
     """Assemble an EnergyReport; optional pieces are skipped when not applicable."""
+    # two integrals as in report.json; hawking_energy's one pass differs in the last bits if k != 0
     w2 = sf.integrate(geom, geom.H ** 2)
     p2 = sf.integrate(geom, geom.P ** 2)
     hf = 0.25 * (w2 - p2)
-    energy = np.sqrt(geom.area / SIXTEEN_PI) * (1.0 - (w2 - p2) / SIXTEEN_PI)
+    energy = _hawking_mass(geom.area, w2 - p2)
     gb = abs(sf.integrate(geom, geom.gauss_curvature) - FOUR_PI)
     fields = sf.ambient_fields(space, geom)
     report = EnergyReport(

@@ -19,8 +19,6 @@ from .errors import CatalogError, GeometryError, HypothesisError
 from .functionals import hawking_energy
 from .grids import SphereGrid
 
-_EPS = np.finfo(float).eps
-
 
 def unit_sphere_volume(n_minus_1):
     """Volume of the unit round (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2)."""
@@ -28,30 +26,28 @@ def unit_sphere_volume(n_minus_1):
     return 2.0 * np.pi ** (n / 2.0) / gamma_fn(n / 2.0)
 
 
-def _fd(fn, r, h=None):
-    h = h if h is not None else max(1.0, abs(r)) * _EPS ** (1.0 / 3.0)
-    return (fn(r + h) - fn(r - h)) / (2.0 * h)
-
-
 @dataclass(frozen=True)
 class RadialModel:
     name: str
     n: int
     phi: object
+    dphi: object                  # analytic derivatives: dphi always, dk_* with k
     k_rad: object = None          # None means k == 0
     k_tan: object = None
-    dphi: object = None           # analytic derivatives; finite differences otherwise
     dk_rad: object = None
     dk_tan: object = None
     r_min: float = 0.0
     r_max: float = np.inf
-    # matching 3-d catalog entry, used by the n = 3 consistency check
-    catalog_name: str = None
+    # parameters of the 3-d catalog entry of the same name, used by the
+    # n = 3 consistency check
     catalog_params: dict = None
 
     def __post_init__(self):
         if self.n < 3:
             raise CatalogError("radial models need dimension n >= 3")
+        if self.k_rad is not None and None in (self.k_tan, self.dk_rad, self.dk_tan):
+            raise CatalogError(f"radial model '{self.name}' gives k_rad without "
+                               "k_tan, dk_rad and dk_tan")
 
     def check_radius(self, r):
         if not (self.r_min < r < self.r_max):
@@ -63,7 +59,7 @@ class RadialModel:
 
 def euclidean_model(n):
     return RadialModel("euclidean", n, phi=lambda r: 1.0, dphi=lambda r: 0.0,
-                       catalog_name="euclidean", catalog_params={})
+                       catalog_params={})
 
 
 def schwarzschild_model(n, m):
@@ -79,7 +75,7 @@ def schwarzschild_model(n, m):
 
     rmin = (2.0 * m) ** (1.0 / p) if m > 0 else 0.0
     return RadialModel("schwarzschild", n, phi=phi, dphi=dphi, r_min=rmin,
-                       catalog_name="schwarzschild", catalog_params={"m": m})
+                       catalog_params={"m": m})
 
 
 def hyperboloid_model(a, n=3):
@@ -96,7 +92,7 @@ def hyperboloid_model(a, n=3):
     zero = lambda r: 0.0
     return RadialModel("hyperboloid", n, phi=phi, dphi=dphi,
                        k_rad=const, k_tan=const, dk_rad=zero, dk_tan=zero,
-                       catalog_name="hyperboloid", catalog_params={"a": a})
+                       catalog_params={"a": a})
 
 
 def paraboloid_model(alpha, n=3):
@@ -125,8 +121,7 @@ def paraboloid_model(alpha, n=3):
 
     return RadialModel("paraboloid", n, phi=phi, dphi=dphi,
                        k_rad=k_rad, k_tan=k_tan, dk_rad=dk_rad, dk_tan=dk_tan,
-                       r_max=1.0 / alpha,
-                       catalog_name="paraboloid", catalog_params={"alpha": alpha})
+                       r_max=1.0 / alpha, catalog_params={"alpha": alpha})
 
 
 # name -> (constructor, default of each parameter besides n)
@@ -191,7 +186,7 @@ def radial_sphere(model, r, lam=0.0):
     H = (n - 1) / (r * sqrt_phi)
     sc_sigma = (n - 1) * (n - 2) / r ** 2
 
-    dphi = model.dphi(r) if model.dphi is not None else _fd(model.phi, r)
+    dphi = model.dphi(r)
     # for g = dr^2/f + r^2 g_S, Ric(nu,nu) = -(n-1) f'/(2r) with f = 1/phi
     ric_nn = (n - 1) * dphi / (2.0 * r * phi ** 2)
     df = -dphi / phi ** 2
@@ -203,8 +198,8 @@ def radial_sphere(model, r, lam=0.0):
     else:
         krad = model.k_rad(r)
         ktan = model.k_tan(r)
-        dkrad = model.dk_rad(r) if model.dk_rad is not None else _fd(model.k_rad, r)
-        dktan = model.dk_tan(r) if model.dk_tan is not None else _fd(model.k_tan, r)
+        dkrad = model.dk_rad(r)
+        dktan = model.dk_tan(r)
 
     P = (n - 1) * ktan
     trk = krad + (n - 1) * ktan
@@ -267,9 +262,9 @@ def nd_energy_consistency(model, r, grid_shape=(48, 96)):
     """
     if model.n != 3:
         raise ValueError("the 3-d consistency check needs n = 3")
-    if model.catalog_name is None:
+    if model.catalog_params is None:
         raise ValueError(f"radial model '{model.name}' has no 3-d catalog twin")
-    space = catalog(model.catalog_name, **(model.catalog_params or {}))
+    space = catalog(model.name, **model.catalog_params)
     grid = SphereGrid(*grid_shape)
     geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, r))
     energy3 = hawking_energy(geom)

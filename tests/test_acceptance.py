@@ -41,7 +41,7 @@ def test_criterion_1_hyperboloid_golden_suite():
             assert np.max(np.abs(geom.P - 2.0)) < 1e-8
             assert np.max(np.sqrt(geom.traceless_sq)) < 1e-8
             assert abs(fn.hawking_energy(geom)) < 1e-8
-            assert cr.hawking_residual(space, geom, 0.0).linf_residual < 1e-6
+            assert cr.residual_report(space, geom, "hawking", 0.0).linf_residual < 1e-6
             ints = fn.f_integrals(space, geom, lam=0.0)
             f_exact = 3.0 * r * r / (1.0 + r * r) * 4.0 * np.pi * r * r
             assert ints["f"] > 0.0
@@ -76,9 +76,9 @@ def test_criterion_2_paraboloid_golden_suite():
             k_up_nu = np.einsum("...ab,...bc,...c->...a", ginv, geom.k_amb, geom.nu)
             assert np.max(np.abs(sf.tangential_divergence(geom, k_up_nu))) < 1e-6
             assert abs(fn.hawking_energy(geom)) < 1e-8
-            assert abs(cr.best_lambda(space, geom, "hawking")) < 1e-6
+            assert abs(cr.residual_report(space, geom, "hawking").lambda_star) < 1e-6
             lam_w = 2.0 * alpha ** 2 / (1.0 - u) ** 2
-            assert abs(cr.best_lambda(space, geom, "willmore") - lam_w) < 1e-5
+            assert abs(cr.residual_report(space, geom, "willmore").lambda_star - lam_w) < 1e-5
             assert time.perf_counter() - start < 5.0
 
 
@@ -91,7 +91,7 @@ def test_criterion_3_time_symmetric_models():
         for r in (1.0, 2.0, 3.0):
             geom = sf.induced_geometry(euclid, sf.coordinate_sphere(grid, r))
             assert abs(fn.hawking_energy(geom)) < 1e-8
-            assert cr.willmore_residual(euclid, geom, 0.0).linf_residual < 1e-8
+            assert cr.residual_report(euclid, geom, "willmore", 0.0).linf_residual < 1e-8
         energies = []
         for (nt, nph) in ((32, 64), (48, 96)):
             g = SphereGrid(nt, nph)
@@ -197,7 +197,7 @@ def test_criterion_8_higher_dimensional():
         for model, r in zip(models, radii):
             d1, d2 = hd.nd_energy_consistency(model, r)
             assert d1 <= 1e-8 and d2 <= 1e-8
-            space = catalog(model.catalog_name, **(model.catalog_params or {}))
+            space = catalog(model.name, **model.catalog_params)
             geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, r))
             if np.all(geom.H > 0.0):
                 rep = hd.radial_sphere(model, r)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -77,11 +78,35 @@ def test_eval_ellipsoid_mesh_file(tmp_path):
     assert main(["eval", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["hawking_energy"] < 0.0
-    # values such as grid_resolution hold commas, so split off the field only
-    rows = [line.split(",", 1) for line in (tmp_path / "report.csv").read_text().splitlines()]
+    assert read_report_csv(tmp_path / "report.csv") == rep
+
+
+def read_report_csv(path):
+    """report.csv as a dict; a value that is not a string is read back as JSON."""
+    with open(path, newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["field", "value"]
-    assert [field for field, _ in rows[1:]] == list(rep)
-    assert [json.loads(value) for _, value in rows[1:]] == list(rep.values())
+    assert all(len(row) == 2 for row in rows)
+    out = {}
+    for field, value in rows[1:]:
+        try:
+            out[field] = json.loads(value)
+        except json.JSONDecodeError:
+            out[field] = value
+    return out
+
+
+def test_eval_csv_quotes_cells_with_commas(tmp_path):
+    cfg = write_config(tmp_path / "run.json", {
+        "space": {"name": "reissner_nordstrom", "params": {"m": 1.0, "q": 0.5}},
+        "surface": {"sphere_r": 3.0},
+        "grid": [16, 32],
+        "output": {"dir": str(tmp_path), "format": "csv"},
+    })
+    assert main(["eval", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["space_params"] == {"m": 1.0, "q": 0.5}
+    assert read_report_csv(tmp_path / "report.csv") == rep
 
 
 def test_residual_paraboloid_sphere(tmp_path):
@@ -198,6 +223,13 @@ def broken(task, **fields):
     return task, json.dumps(dict(VALID_RUN, **fields))
 
 
+def broken_flow(**flow):
+    """A Y20 flow run with one flow field set, and the name of that field."""
+    run = dict(VALID_RUN, surface={"round_r": 1.0, "perturbations": [[2, 0, 0.05]]},
+               mode="willmore", flow=flow)
+    return ("flow", json.dumps(run), *flow)
+
+
 def broken_sweep(**fields):
     return "sweep", json.dumps({"sweep": dict({"model": "schwarzschild", "r_values": [4.0]},
                                               **fields)})
@@ -225,15 +257,21 @@ def broken_sweep(**fields):
     lambda: broken_sweep(r_values=5),
     lambda: broken_sweep(params={"mass": 2.0}),
     lambda: ("eval", "[1, 2]"),
+    # out-of-range flow settings; the error line must name the field
+    lambda: broken_flow(max_backtracks=-1),
+    lambda: broken_flow(smoothing_tau=-0.25),
+    lambda: broken_flow(initial_step=-0.1),
+    lambda: broken_flow(max_steps=-3),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
-    task, text = breakage()
+    task, text, *named = breakage()
     path = tmp_path / "run.json"
     path.write_text(text)
     assert main([task, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(field in err for field in named)
 
 
 FUZZ_RUNS = {

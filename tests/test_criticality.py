@@ -8,11 +8,11 @@ from qll.grids import SphereGrid
 from qll.harmonics import band_limited_field, real_harmonic_grid
 
 
-# -- willmore_residual -------------------------------------------------------
+# -- willmore mode ------------------------------------------------------------
 
 def test_euclidean_round_sphere_critical(grid48, euclidean):
     geom = sf.induced_geometry(euclidean, sf.coordinate_sphere(grid48, 1.0))
-    rep = cr.willmore_residual(euclidean, geom, 0.0)
+    rep = cr.residual_report(euclidean, geom, "willmore", 0.0)
     assert rep.linf_residual < 1e-6
     assert abs(rep.lambda_star) < 1e-8
 
@@ -20,49 +20,49 @@ def test_euclidean_round_sphere_critical(grid48, euclidean):
 def test_hyperboloid_willmore_multiplier(grid48, hyperboloid):
     # corrected space-form Ricci gives lambda = 2/a^2
     geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid48, 1.0))
-    assert cr.willmore_residual(hyperboloid, geom, 2.0).linf_residual < 1e-6
-    assert abs(cr.best_lambda(hyperboloid, geom, "willmore") - 2.0) < 1e-6
+    assert cr.residual_report(hyperboloid, geom, "willmore", 2.0).linf_residual < 1e-6
+    assert abs(cr.residual_report(hyperboloid, geom, "willmore").lambda_star - 2.0) < 1e-6
 
 
 def test_schwarzschild_willmore_multiplier(grid48, schwarzschild):
     geom = sf.induced_geometry(schwarzschild, sf.coordinate_sphere(grid48, 4.0))
-    lam = cr.best_lambda(schwarzschild, geom, "willmore")
+    lam = cr.residual_report(schwarzschild, geom, "willmore").lambda_star
     # constant on the sphere: lambda* = -Lap H / H - Ric(nu,nu) = 2m/r^3
     assert abs(lam - 2.0 / 64.0) < 1e-6
-    assert cr.willmore_residual(schwarzschild, geom, lam).linf_residual < 1e-6
+    assert cr.residual_report(schwarzschild, geom, "willmore", lam).linf_residual < 1e-6
 
 
-# -- hawking_residual ----------------------------------------------------------
+# -- hawking mode -------------------------------------------------------------
 
 def test_reduces_to_willmore_when_k_zero(grid32, schwarzschild):
     geom = sf.induced_geometry(schwarzschild, sf.coordinate_sphere(grid32, 4.0))
-    rw = cr.willmore_residual(schwarzschild, geom, 0.3).residual_field
-    rh = cr.hawking_residual(schwarzschild, geom, 0.3).residual_field
+    rw = cr.residual_report(schwarzschild, geom, "willmore", 0.3).residual_field
+    rh = cr.residual_report(schwarzschild, geom, "hawking", 0.3).residual_field
     assert np.max(np.abs(rw - rh)) < 1e-12
 
 
 def test_hyperboloid_spheres_are_critical(grid48, hyperboloid):
     for r in (0.5, 1.0, 2.0):
         geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid48, r))
-        assert cr.hawking_residual(hyperboloid, geom, 0.0).linf_residual < 1e-6
+        assert cr.residual_report(hyperboloid, geom, "hawking", 0.0).linf_residual < 1e-6
 
 
 def test_paraboloid_spheres_are_critical(grid48, paraboloid):
     for r in (0.5, 1.0, 1.5):
         geom = sf.induced_geometry(paraboloid, sf.coordinate_sphere(grid48, r))
-        assert cr.hawking_residual(paraboloid, geom, 0.0).linf_residual < 1e-6
+        assert cr.residual_report(paraboloid, geom, "hawking", 0.0).linf_residual < 1e-6
 
 
 def test_paraboloid_willmore_multiplier(grid48, paraboloid):
     for r in (0.5, 1.0, 1.5):
         geom = sf.induced_geometry(paraboloid, sf.coordinate_sphere(grid48, r))
-        lam = cr.best_lambda(paraboloid, geom, "willmore")
+        lam = cr.residual_report(paraboloid, geom, "willmore").lambda_star
         u = 0.25 * r * r
         assert abs(lam - 0.5 / (1.0 - u) ** 2) < 1e-6
-        assert abs(cr.best_lambda(paraboloid, geom, "hawking")) < 1e-8
+        assert abs(cr.residual_report(paraboloid, geom, "hawking").lambda_star) < 1e-8
 
 
-# -- best_lambda / reports ----------------------------------------------------
+# -- lambda* / reports --------------------------------------------------------
 
 def test_lambda_star_orthogonality(grid32, schwarzschild):
     mesh = sf.round_sphere_with_harmonics(grid32, 4.0, [(2, 0, 0.05)])
@@ -79,7 +79,7 @@ def test_residual_floor_under_refinement(hyperboloid):
     for (nt, nph) in ((24, 48), (48, 96)):
         grid = SphereGrid(nt, nph)
         geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid, 1.0))
-        linfs.append(cr.hawking_residual(hyperboloid, geom, 0.0).linf_residual)
+        linfs.append(cr.residual_report(hyperboloid, geom, "hawking", 0.0).linf_residual)
     assert all(v < 1e-7 for v in linfs)
 
 

@@ -50,6 +50,11 @@ def test_flow_config_validation():
         flow.FlowConfig(target_area=-1.0)
     with pytest.raises(ValueError):
         flow.FlowConfig(backtrack_factor=1.5)
+    for field, value in (("initial_step", -0.1), ("smoothing_tau", -0.25),
+                         ("max_steps", -3), ("max_backtracks", -1)):
+        with pytest.raises(ValueError, match=field):
+            flow.FlowConfig(**{field: value})
+    flow.FlowConfig(smoothing_tau=0.0, max_steps=0, max_backtracks=0)
 
 
 def test_flow_rejects_far_initial_area(grid32, euclidean):

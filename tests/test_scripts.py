@@ -1,11 +1,40 @@
-"""The README's experiment scripts run and print or write what they document."""
+"""The README's code blocks and experiment scripts run and print or write what
+they document."""
 
+import ast
 import csv
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def readme_values():
+    """Run README's python blocks in order in one namespace; return the value of
+    each bare expression statement, keyed by its source text."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    namespace, values = {}, {}
+    for block in blocks:
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr):
+                code = compile(ast.Expression(node.value), "README.md", "eval")
+                values[ast.get_source_segment(block, node)] = eval(code, namespace)
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return values
+
+
+def test_readme_quick_start():
+    values = readme_values()
+    assert abs(values["hawking_energy(geom)"]) < 1e-13
+    assert values['residual_report(space, geom, "hawking", 0.0).linf_residual'] < 1e-6
+    assert abs(values['f_integrals(space, geom)["f"]'] - 6.0 * np.pi) < 1e-10
+    assert values["state.status, state.step_index"][0] == "converged"
 
 
 def run_script(cwd, name, *args):

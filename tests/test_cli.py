@@ -78,21 +78,22 @@ def test_eval_ellipsoid_mesh_file(tmp_path):
     assert main(["eval", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["hawking_energy"] < 0.0
-    assert read_report_csv(tmp_path / "report.csv") == rep
+    assert read_report_csv(tmp_path / "report.csv") == list(rep.items())
 
 
 def read_report_csv(path):
-    """report.csv as a dict; a value that is not a string is read back as JSON."""
+    """report.csv as (field, value) pairs in file order; a value that is not a
+    string is read back as JSON."""
     with open(path, newline="", encoding="ascii") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["field", "value"]
     assert all(len(row) == 2 for row in rows)
-    out = {}
+    out = []
     for field, value in rows[1:]:
         try:
-            out[field] = json.loads(value)
+            out.append((field, json.loads(value)))
         except json.JSONDecodeError:
-            out[field] = value
+            out.append((field, value))
     return out
 
 
@@ -106,7 +107,7 @@ def test_eval_csv_quotes_cells_with_commas(tmp_path):
     assert main(["eval", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["space_params"] == {"m": 1.0, "q": 0.5}
-    assert read_report_csv(tmp_path / "report.csv") == rep
+    assert read_report_csv(tmp_path / "report.csv") == list(rep.items())
 
 
 def test_residual_paraboloid_sphere(tmp_path):

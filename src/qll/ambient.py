@@ -49,11 +49,14 @@ class AmbientSpace:
                 f"{np.count_nonzero(~ok)} point(s) outside the chart of '{self.name}'")
 
     def metric(self, points):
+        return self._metric_and_inverse(points)[0]
+
+    def _metric_and_inverse(self, points):
+        """g and g^{-1} at points, after the chart, SPD and symmetry checks."""
         points = np.asarray(points, dtype=float)
         self.check_points(points)
         g = self.metric_fn(points)
-        _require_spd(g, self.name)
-        return g
+        return g, _spd_inverse(g, self.name)
 
     def k_tensor(self, points):
         points = np.asarray(points, dtype=float)
@@ -75,16 +78,28 @@ class AmbientSpace:
         return replace(self, derivative_mode=mode, fd_step=step)
 
 
-def _require_spd(g, name):
-    # Sylvester criterion; cheaper than eigvalsh per point
-    m1 = g[..., 0, 0]
-    m2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    m3 = np.linalg.det(g)
-    if not (np.all(m1 > 0) and np.all(m2 > 0) and np.all(m3 > 0)):
+# row-major places of the cofactors 00, 01, 02, 11, 12, 22 of a symmetric 3x3
+_SYM_TO_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def _spd_inverse(g, name):
+    """g^{-1} of a batch of symmetric 3x3 metrics by the adjugate.
+
+    Sylvester's criterion reads its minors from the same cofactors (the last
+    one is det g), and it and the symmetry check run before the division.
+    """
+    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+    d, e, f = g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+    cof = np.stack([d * f - e * e, c * e - b * f, b * e - c * d,
+                    a * f - c * c, b * c - a * e, a * d - b * b], axis=-1)
+    det = a * cof[..., 0] + b * cof[..., 1] + c * cof[..., 2]
+    if not (np.all(a > 0) and np.all(cof[..., 5] > 0) and np.all(det > 0)):
         raise GeometryError(f"metric of '{name}' is not positive definite at a queried point")
-    sym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
+    sym = max(float(np.max(np.abs(g[..., i, j] - g[..., j, i])))
+              for i, j in ((0, 1), (0, 2), (1, 2)))
     if sym > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
         raise GeometryError(f"metric of '{name}' is not symmetric at a queried point")
+    return (cof / det[..., None])[..., _SYM_TO_FULL].reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -129,34 +144,39 @@ def _analytic(space):
     return space.derivative_mode == "analytic" and space.dmetric_fn is not None
 
 
-def _second_order(space, points):
-    """d2g and dk at points (dk is 0 when k is), honoring the derivative mode."""
-    analytic = _analytic(space)
-    if analytic:
-        d2g = space.d2metric_fn(points)
-    else:
-        d2g = _fd_second(space.metric_fn, points, _fd_steps(points, space.fd_step)[1])
-    if space.k_fn is None:
-        dk = np.zeros(points.shape[:-1] + (3, 3, 3))
-    elif analytic and space.dk_fn is not None:
-        dk = space.dk_fn(points)
-    else:
-        dk = _fd_first(space.k_fn, points, _fd_steps(points, space.fd_step)[0])
-    return d2g, dk
+def _d2metric(space, points):
+    """d2g at points, honoring the derivative mode."""
+    if _analytic(space):
+        return space.d2metric_fn(points)
+    return _fd_second(space.metric_fn, points, _fd_steps(points, space.fd_step)[1])
+
+
+def _dk(space, points):
+    """dk at points (k must not be identically 0), honoring the derivative mode."""
+    if _analytic(space) and space.dk_fn is not None:
+        return space.dk_fn(points)
+    return _fd_first(space.k_fn, points, _fd_steps(points, space.fd_step)[0])
+
+
+# T_dbc = d_b g_dc + d_c g_db - d_d g_bc as a constant map from dg[x, y, z] to T[d, b, c]
+_I27 = np.eye(27).reshape((3,) * 6)
+_FIRST_KIND = (np.einsum("xyzbdc->xyzdbc", _I27) + np.einsum("xyzcdb->xyzdbc", _I27)
+               - _I27).reshape(27, 27)
 
 
 def _first_kind(dg):
-    """T_dbc = d_b g_dc + d_c g_db - d_d g_bc.
+    """T_dbc = d_b g_dc + d_c g_db - d_d g_bc, one product with a constant matrix.
 
     Given d2g it returns d_a T_dbc, because d2g[..., a, :, :, :] = d_a dg.
     """
-    return (np.einsum("...bdc->...dbc", dg)
-            + np.einsum("...cdb->...dbc", dg)
-            - dg)
+    return (dg.reshape(dg.shape[:-3] + (27,)) @ _FIRST_KIND).reshape(dg.shape)
 
 
 def _christoffels(ginv, dg):
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, _first_kind(dg))
+    """Gamma^a_bc = g^{ad} T_dbc / 2, one (3 x 3) @ (3 x 9) product per point."""
+    batch = ginv.shape[:-2]
+    T = _first_kind(dg).reshape(batch + (3, 9))
+    return ((0.5 * ginv) @ T).reshape(batch + (3, 3, 3))
 
 
 def christoffels_at(space, points):
@@ -165,12 +185,11 @@ def christoffels_at(space, points):
     The one evaluation of first-order metric data; it checks chart and SPD.
     """
     points = np.asarray(points, dtype=float)
-    g = space.metric(points)
+    g, ginv = space._metric_and_inverse(points)
     if _analytic(space):
         dg = space.dmetric_fn(points)
     else:
         dg = _fd_first(space.metric_fn, points, _fd_steps(points, space.fd_step)[0])
-    ginv = np.linalg.inv(g)
     return _christoffels(ginv, dg), g, ginv, dg
 
 
@@ -182,28 +201,33 @@ def _ricci(ginv, gamma, dg, d2g):
       d_a Gamma^a_bd = -w_e Gamma^e_bd + (S_bd + S_db - (g^{ae} d_a d_e g)_bd) / 2,
       d_d Gamma^a_ab = (g^{ae} d_d d_b g_ae - tr(Q_d Q_b)) / 2,
       Gamma^a_ae = tr(Q_e) / 2,
-    where w_e = sum_a (Q_a)_ae and S_bd = g^{ae} d_b d_a g_de.
+    where w_e = sum_a (Q_a)_ae and S_bd = g^{ae} d_b d_a g_de.  With the
+    matrices (G_c)^a_e = Gamma^a_ce, Q_c = G_c + g^{-1} G_c^T g, so the
+    quadratic terms combine to
+      tr(Q_d Q_b) / 2 - Gamma^a_de Gamma^e_ab = tr(G_d g^{-1} G_b^T g)
+                                              = Gamma^a_de T_abf g^{fe} / 2.
     """
     batch = ginv.shape[:-2]
-    gcol = ginv.reshape(batch + (9, 1))
-    Q = ginv[..., None, :, :] @ dg
-    trQ = np.trace(Q, axis1=-2, axis2=-1)
-    w = np.diagonal(Q, axis1=-3, axis2=-2).sum(axis=-1)
+    gvec = ginv.reshape(batch + (9,))
+    gcol, grow = gvec[..., :, None], gvec[..., None, :]
+    trQ = np.einsum("...cx,...x->...c", dg.reshape(batch + (3, 9)), gvec)
+    w = (grow @ dg.reshape(batch + (9, 3)))[..., 0, :]
     D = d2g.reshape(batch + (9, 9))
-    box = np.swapaxes(gcol, -1, -2) @ D     # g^{ae} d_a d_e g_bd
+    box = grow @ D                          # g^{ae} d_a d_e g_bd
     trace_hess = D @ gcol                   # g^{ae} d_d d_b g_ae
-    S = np.moveaxis(d2g, -2, -3).reshape(batch + (9, 9)) @ gcol
-    QQ = Q.reshape(batch + (3, 9)) @ np.swapaxes(Q, -1, -2).reshape(batch + (3, 9)).swapaxes(-1, -2)
-    gs = np.ascontiguousarray(np.swapaxes(gamma, -3, -2))    # gs[d, a, e] = Gamma^a_de
-    GG = gs.reshape(batch + (3, 9)) @ gs.reshape(batch + (9, 3))
+    # S_bd = g^{ae} d_b d_a g_ed, with d2g read in place as [b, (a, e), d]
+    S = (np.swapaxes(d2g.reshape(batch + (3, 9, 3)), -1, -2) @ gcol[..., None, :, :])[..., 0]
+    # V[a, b, e] = T_abf g^{fe} / 2, regrouped as [(a, e), b]; gs[d, a, e] = Gamma^a_de
+    V = ((0.5 * _first_kind(dg)).reshape(batch + (9, 3)) @ ginv).reshape(dg.shape)
+    V = np.swapaxes(V, -1, -2).reshape(batch + (9, 3))
+    gs = np.ascontiguousarray(np.swapaxes(gamma, -3, -2)).reshape(batch + (3, 9))
     lin = (0.5 * trQ - w)[..., None, :] @ gamma.reshape(batch + (3, 9))
-    S = S.reshape(batch + (3, 3))
     second = S + np.swapaxes(S, -1, -2) - box.reshape(S.shape) - trace_hess.reshape(S.shape)
-    return lin.reshape(S.shape) + 0.5 * (second + QQ) - GG
+    return lin.reshape(S.shape) + 0.5 * second + gs @ V
 
 
 def _scalar(ginv, ricci):
-    return np.sum(ginv * ricci, axis=(-2, -1))
+    return np.einsum("...ab,...ab->...", ginv, ricci)
 
 
 @dataclass(frozen=True)
@@ -219,7 +243,7 @@ class CurvatureData:
 def curvature_at(space, points):
     points = np.asarray(points, dtype=float)
     gamma, g, ginv, dg = christoffels_at(space, points)
-    d2g, _ = _second_order(space, points)
+    d2g = _d2metric(space, points)
     # dGamma[..., c, a, d, b] = d_c Gamma^a_db
     dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
     dgamma = 0.5 * (np.einsum("...cae,...edb->...cadb", dginv, _first_kind(dg))
@@ -268,13 +292,18 @@ def ambient_fields_at(space, points):
 def _fields(space, points, ginv, dg, k):
     """AmbientFields from first-order data already evaluated at points.
 
-    2 mu = Sc + (tr k)^2 - |k|^2 and J = div(k - (tr k) g).
+    2 mu = Sc + (tr k)^2 - |k|^2 and J = div(k - (tr k) g); on time-symmetric
+    data every k-term is an exact 0 and is not computed.
     """
-    d2g, dk = _second_order(space, points)
     gamma = _christoffels(ginv, dg)
-    ricci = _ricci(ginv, gamma, dg, d2g)
+    ricci = _ricci(ginv, gamma, dg, _d2metric(space, points))
     scalar = _scalar(ginv, ricci)
-    nk = _nabla_k(gamma, k, dk)
+    if space.time_symmetric:
+        # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
+        return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=np.zeros(dg.shape),
+                             mu=0.5 * (scalar + 0.0), J=np.zeros(scalar.shape + (3,)),
+                             jnorm=np.zeros(scalar.shape), ksq=np.zeros(scalar.shape))
+    nk = _nabla_k(gamma, k, _dk(space, points))
     kmix = ginv @ k                          # k^a_b
     trk = np.trace(kmix, axis1=-2, axis2=-1)
     ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
@@ -311,20 +340,35 @@ def constraint_data_at(space, points):
 
 
 def _outer_xx(points):
-    return points[..., :, None] * points[..., None, :]
+    return np.einsum("...a,...b->...ab", points, points)
+
+
+def _areal_maps():
+    """Constant maps: d_c (x_a x_b) = x_p dxx_p,cab, and d2g as one product
+    [u2 x^4, u1 x_p x_q, psi] @ d2map, where the 15 distinct quartic
+    monomials x^4 are products of two entries of xx (the selections in pick),
+    u1 (delta_cd x_a x_b + x_c d_d (x_a x_b) + x_d d_c (x_a x_b)) = u1 x_p x_q U_pq,cdab
+    and d_c d_d (x_a x_b) = ddxx_cdab = delta_ca delta_db + delta_cb delta_da.
+    """
+    eye = np.eye(3)
+    ddxx = np.einsum("ca,db->cdab", eye, eye) + np.einsum("cb,da->cdab", eye, eye)
+    U = (np.einsum("cd,pa,qb->pqcdab", eye, eye, eye)
+         + np.einsum("pc,qdab->pqcdab", eye, ddxx)
+         + np.einsum("pd,qcab->pqcdab", eye, ddxx)).reshape(9, 81)
+    slots = [tuple(sorted(idx)) for idx in np.ndindex(3, 3, 3, 3)]
+    quartic = sorted(set(slots))
+    pick = np.zeros((2, 9, len(quartic)))
+    for m, (c, d, a, b) in enumerate(quartic):
+        pick[0, 3 * c + d, m] = pick[1, 3 * a + b, m] = 1.0
+    place = np.array([[float(slot == mono) for slot in slots] for mono in quartic])
+    return ddxx.reshape(3, 27), pick, np.concatenate([place, U, ddxx.reshape(1, 81)])
+
+
+_DXX, _QUARTIC_PICK, _D2_MAP = _areal_maps()
 
 
 def _areal_fns(psi, u1, u2):
     eye = np.eye(3)
-    # constant d_c d_d (x_a x_b) = delta_ca delta_db + delta_cb delta_da
-    ddxx = np.einsum("ca,db->cdab", eye, eye) + np.einsum("cb,da->cdab", eye, eye)
-    # d_c (x_a x_b) = x_p ddxx_pcab
-    dxx = ddxx.reshape(3, 27)
-    # u1 (delta_cd x_a x_b + x_c d_d (x_a x_b) + x_d d_c (x_a x_b)) = u1 x_p x_q U_pq,cdab
-    U = (np.einsum("cd,pa,qb->pqcdab", eye, eye, eye)
-         + np.einsum("pc,qdab->pqcdab", eye, ddxx)
-         + np.einsum("pd,qcab->pqcdab", eye, ddxx)).reshape(9, 81)
-    ddxx = ddxx.reshape(81)
 
     def metric(points):
         r = np.linalg.norm(points, axis=-1)
@@ -333,21 +377,19 @@ def _areal_fns(psi, u1, u2):
     def dmetric(points):
         # d_c g_ab = u1 x_c x_a x_b + psi d_c (x_a x_b)
         r = np.linalg.norm(points, axis=-1)
-        batch = points.shape[:-1]
-        xxx = _outer_xx(points).reshape(batch + (9, 1)) * points[..., None, :]
-        out = u1(r)[..., None] * xxx.reshape(batch + (27,))
-        out += psi(r)[..., None] * (points @ dxx)
-        return out.reshape(batch + (3, 3, 3))
+        out = np.einsum("...c,...ab->...cab", points, u1(r)[..., None, None] * _outer_xx(points))
+        out += ((psi(r)[..., None] * points) @ _DXX).reshape(out.shape)
+        return out
 
     def d2metric(points):
         # d_c d_d g_ab = u2 x_c x_d x_a x_b + u1 x_p x_q U_pq,cdab + psi ddxx_cdab
         r = np.linalg.norm(points, axis=-1)
         batch = points.shape[:-1]
         xx = _outer_xx(points).reshape(batch + (9,))
-        out = ((u2(r)[..., None] * xx)[..., :, None] * xx[..., None, :]).reshape(batch + (81,))
-        out += (u1(r)[..., None] * xx) @ U
-        out += psi(r)[..., None] * ddxx
-        return out.reshape(batch + (3, 3, 3, 3))
+        quartic = (xx @ _QUARTIC_PICK[0]) * (xx @ _QUARTIC_PICK[1])
+        coef = np.concatenate([u2(r)[..., None] * quartic, u1(r)[..., None] * xx,
+                               psi(r)[..., None]], axis=-1)
+        return (coef @ _D2_MAP).reshape(batch + (3, 3, 3, 3))
 
     return metric, dmetric, d2metric
 

@@ -73,9 +73,12 @@ def _records_table(cls, records):
 
 
 def _csv_cell(v):
-    """Canonical text of v, quoted RFC 4180 style when it holds a comma."""
+    """Canonical text of v, quoted RFC 4180 style when it holds a comma, a
+    double quote, CR or LF."""
     text = _dump_value(v)
-    return '"' + text.replace('"', '""') + '"' if "," in text else text
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_text(content):

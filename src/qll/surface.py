@@ -163,54 +163,51 @@ def induced_geometry(space, mesh):
     X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
 
     gamma, g, ginv, dg = christoffels_at(space, X)
+    batch = X.shape[:-1]
 
-    def dot(u, v):
-        return np.einsum("...ab,...a,...b->...", g, u, v)
-
-    g_tt, g_tp, g_pp = dot(e_t, e_t), dot(e_t, e_p), dot(e_p, e_p)
+    # lowered tangent vectors (g e_theta, g e_phi) as the columns of gE
+    E = np.stack([e_t, e_p], axis=-1)
+    gE = g @ E
+    g_tt = _dot(e_t, gE[..., 0])
+    g_tp = _dot(e_p, gE[..., 0])
+    g_pp = _dot(e_p, gE[..., 1])
     det2 = g_tt * g_pp - g_tp ** 2
     if np.any(det2 <= 0.0) or not np.all(np.isfinite(det2)):
         bad = np.argwhere(~(det2 > 0.0))[0]
         raise GeometryError(f"degenerate induced metric at node (theta={bad[0]}, phi={bad[1]})")
-    g2 = np.stack([np.stack([g_tt, g_tp], axis=-1),
-                   np.stack([g_tp, g_pp], axis=-1)], axis=-2)
-    ginv2 = np.empty_like(g2)
-    ginv2[..., 0, 0] = g_pp / det2
-    ginv2[..., 1, 1] = g_tt / det2
-    ginv2[..., 0, 1] = -g_tp / det2
-    ginv2[..., 1, 0] = -g_tp / det2
+    g2 = _sym2(g_tt, g_tp, g_pp)
+    inv_tt, inv_tp, inv_pp = g_pp / det2, -g_tp / det2, g_tt / det2
+    ginv2 = _sym2(inv_tt, inv_tp, inv_pp)
 
     # normal covector ~ eps_abc e_theta^b e_phi^c, raised and normalized
     n_cov = np.cross(e_t, e_p)
-    n_up = np.einsum("...ab,...b->...a", ginv, n_cov)
-    norm = np.sqrt(np.einsum("...a,...a->...", n_up, n_cov))
-    nu = n_up / norm[..., None]
-    radial = X - mesh.center
-    orient = np.sign(np.einsum("...a,...a->...", nu, radial))
+    n_up = (ginv @ n_cov[..., None])[..., 0]
+    nu = n_up / np.sqrt(_dot(n_up, n_cov))[..., None]
+    orient = np.sign(_dot(nu, X - mesh.center))
     if np.any(orient == 0):
         raise GeometryError("could not orient the outward normal")
     nu = nu * orient[..., None]
+    nu_cov = (g @ nu[..., None])[..., 0]
 
-    nu_cov = np.einsum("...ab,...b->...a", g, nu)
+    # B_ij = -nu_a (X_ij^a + Gamma^a_bc e_i^b e_j^c); the Gamma part is the
+    # bilinear form W_bc = nu_a Gamma^a_bc on the tangent frame
+    W = (nu_cov[..., None, :] @ gamma.reshape(batch + (3, 9))).reshape(batch + (3, 3))
+    WE = W @ E
+    B_tt = -(_dot(nu_cov, X_tt) + _dot(e_t, WE[..., 0]))
+    B_tp = -(_dot(nu_cov, X_tp) + _dot(e_t, WE[..., 1]))
+    B_pp = -(_dot(nu_cov, X_pp) + _dot(e_p, WE[..., 1]))
+    B = _sym2(B_tt, B_tp, B_pp)
 
-    def second(Xij, ei, ej):
-        acc = Xij + np.einsum("...abc,...b,...c->...a", gamma, ei, ej)
-        return -np.einsum("...a,...a->...", nu_cov, acc)
-
-    B_tt = second(X_tt, e_t, e_t)
-    B_tp = second(X_tp, e_t, e_p)
-    B_pp = second(X_pp, e_p, e_p)
-    B = np.stack([np.stack([B_tt, B_tp], axis=-1),
-                  np.stack([B_tp, B_pp], axis=-1)], axis=-2)
-
-    H = np.einsum("...ij,...ij->...", ginv2, B)
-    Bring = B - 0.5 * H[..., None, None] * g2
-    traceless_sq = np.einsum("...ij,...kl,...ik,...jl->...", Bring, Bring, ginv2, ginv2)
-    traceless_sq = np.maximum(traceless_sq, 0.0)  # clip cancellation noise
+    H = inv_tt * B_tt + 2.0 * inv_tp * B_tp + inv_pp * B_pp
+    # |B_ring|^2 = tr(M^2) with M = g2^{-1} B_ring, clipped at 0 against cancellation noise
+    ring_tt, ring_tp, ring_pp = B_tt - 0.5 * H * g_tt, B_tp - 0.5 * H * g_tp, B_pp - 0.5 * H * g_pp
+    m_tt, m_tp = inv_tt * ring_tt + inv_tp * ring_tp, inv_tt * ring_tp + inv_tp * ring_pp
+    m_pt, m_pp = inv_tp * ring_tt + inv_pp * ring_tp, inv_tp * ring_tp + inv_pp * ring_pp
+    traceless_sq = np.maximum(m_tt ** 2 + 2.0 * m_tp * m_pt + m_pp ** 2, 0.0)
 
     k = space.k_tensor(X)
     trk = np.einsum("...ab,...ab->...", ginv, k)
-    k_nu_nu = np.einsum("...ab,...a,...b->...", k, nu, nu)
+    k_nu_nu = _dot(nu, (k @ nu[..., None])[..., 0])
     P = trk - k_nu_nu
 
     K = _gauss_curvature_intrinsic(grid, g_tt, g_tp, g_pp, ginv2, det2)
@@ -228,15 +225,24 @@ def induced_geometry(space, mesh):
         area_element=J, second_form=B, H=H, traceless_sq=traceless_sq,
         trk=trk, k_nu_nu=k_nu_nu, P=P, gauss_curvature=K,
         theta_plus=theta_plus, theta_minus=theta_minus, area=area)
-    _check_build_invariants(geom)
+    _check_build_invariants(geom, nu_cov)
     return geom
 
 
-def _check_build_invariants(geom):
+def _dot(u, v):
+    return np.einsum("...a,...a->...", u, v)
+
+
+def _sym2(xx, xy, yy):
+    """Symmetric 2x2 matrices from their three entries."""
+    return np.stack([xx, xy, xy, yy], axis=-1).reshape(xx.shape + (2, 2))
+
+
+def _check_build_invariants(geom, nu_cov):
     scale = 1.0 + float(np.max(np.abs(geom.H))) ** 2
-    unit = np.abs(np.einsum("...ab,...a,...b->...", geom.g_amb, geom.nu, geom.nu) - 1.0)
-    orth_t = np.abs(np.einsum("...ab,...a,...b->...", geom.g_amb, geom.nu, geom.e_theta))
-    orth_p = np.abs(np.einsum("...ab,...a,...b->...", geom.g_amb, geom.nu, geom.e_phi))
+    unit = np.abs(_dot(nu_cov, geom.nu) - 1.0)
+    orth_t = np.abs(_dot(nu_cov, geom.e_theta))
+    orth_p = np.abs(_dot(nu_cov, geom.e_phi))
     tangent_scale = 1.0 + float(np.max(geom.induced_metric[..., 0, 0] + geom.induced_metric[..., 1, 1]))
     if np.max(unit) > 1e-10 or max(np.max(orth_t), np.max(orth_p)) > 1e-10 * tangent_scale:
         raise GeometryError("normal failed unit/orthogonality check")

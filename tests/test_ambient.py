@@ -296,11 +296,18 @@ def test_metric_spd_property(x, y, z):
 def test_non_spd_metric_rejected():
     from qll.ambient import AmbientSpace
 
-    def bad_metric(points):
-        out = np.zeros(points.shape[:-1] + (3, 3))
-        out[...] = np.diag([1.0, 1.0, -1.0])
-        return out
+    pts = np.array([[1.0, 0.0, 0.0]])
+    for diag in ((1.0, 1.0, -1.0), (1.0, 1.0, 0.0)):   # indefinite, singular
 
-    space = AmbientSpace("bad", {}, bad_metric)
-    with pytest.raises(GeometryError):
-        space.metric(np.array([[1.0, 0.0, 0.0]]))
+        def bad_metric(points, diag=diag):
+            out = np.zeros(points.shape[:-1] + (3, 3))
+            out[...] = np.diag(diag)
+            return out
+
+        space = AmbientSpace("bad", {}, bad_metric)
+        # the check must come before g^{-1} divides by det g = 0
+        with np.errstate(all="raise"):
+            with pytest.raises(GeometryError, match="not positive definite"):
+                space.metric(pts)
+            with pytest.raises(GeometryError, match="not positive definite"):
+                christoffels_at(space.with_derivative_mode("fd"), pts)

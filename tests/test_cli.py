@@ -82,19 +82,13 @@ def test_eval_ellipsoid_mesh_file(tmp_path):
 
 
 def read_report_csv(path):
-    """report.csv as (field, value) pairs in file order; a value that is not a
-    string is read back as JSON."""
+    """report.csv as (field, value) pairs in file order; every value cell
+    holds canonical JSON once the CSV quoting is undone."""
     with open(path, newline="", encoding="ascii") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["field", "value"]
     assert all(len(row) == 2 for row in rows)
-    out = []
-    for field, value in rows[1:]:
-        try:
-            out.append((field, json.loads(value)))
-        except json.JSONDecodeError:
-            out.append((field, value))
-    return out
+    return [(field, json.loads(value)) for field, value in rows[1:]]
 
 
 def test_eval_csv_quotes_cells_with_commas(tmp_path):
@@ -107,6 +101,22 @@ def test_eval_csv_quotes_cells_with_commas(tmp_path):
     assert main(["eval", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["space_params"] == {"m": 1.0, "q": 0.5}
+    assert read_report_csv(tmp_path / "report.csv") == list(rep.items())
+
+
+def test_eval_csv_quotes_cells_with_quotes(tmp_path):
+    # one-parameter space: space_params holds quotes but no comma
+    cfg = write_config(tmp_path / "run.json", {
+        "space": {"name": "hyperboloid", "params": {"a": 1.0}},
+        "surface": {"sphere_r": 1.0},
+        "grid": [16, 32],
+        "output": {"dir": str(tmp_path), "format": "csv"},
+    })
+    assert main(["eval", "--config", cfg]) == 0
+    text = (tmp_path / "report.csv").read_text(encoding="ascii")
+    assert 'space_params,"{""a"":1}"\n' in text
+    assert 'space_name,"""hyperboloid"""\n' in text
+    rep = json.loads((tmp_path / "report.json").read_text())
     assert read_report_csv(tmp_path / "report.csv") == list(rep.items())
 
 

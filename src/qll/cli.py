@@ -140,13 +140,16 @@ def _numbers(v, name, length=None):
 
 
 def _fields(obj, name, checks):
-    """The entries of obj named in checks, each validated by its check."""
+    """The entries of obj, each validated by its check; a key without a check is an error."""
+    for k in obj:
+        if k not in checks:
+            raise ConfigError(f"field '{name}.{k}' is not a setting")
     return {k: check(obj[k], f"{name}.{k}") for k, check in checks.items() if k in obj}
 
 
-_FLOW_FIELDS = {"target_area": _number, "initial_step": _number, "max_steps": _integer,
-                "residual_tol": _number, "backtrack_factor": _number,
-                "max_backtracks": _integer, "smoothing_tau": _number}
+# every FlowConfig field but mode, which is the run's top-level 'mode'
+_FLOW_FIELDS = {f.name: {int: _integer, float: _number}[f.type]
+                for f in dataclasses.fields(FlowConfig) if f.name != "mode"}
 _LAPSE_FIELDS = {"l": _integer, "m": _integer, "amplitude": _number,
                  "seed": _integer, "lmax": _integer}
 

@@ -121,6 +121,8 @@ def first_variation_check(space, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3)):
         return hawking_functional(sf.induced_geometry(
             space, SurfaceMesh(mesh.grid, mesh.radius + s * rate, mesh.center)))
 
+    # roundoff scale of the functional values: a quotient error below noise / |s| is roundoff
+    noise = 1e-13 * max(1.0, abs(h0))
     rows = []
     for s in s_values:
         hplus = functional(float(s))
@@ -130,12 +132,14 @@ def first_variation_check(space, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3)):
         # meaningful denominator also on critical surfaces, where the
         # linear response vanishes and only the secant rate sets the scale
         rate_scale = (abs(hplus - h0) + abs(hminus - h0)) / (2.0 * s)
-        denom = max(abs(pred), abs(quotient), rate_scale, 1e-13 * max(1.0, abs(h0)) / s)
+        denom = max(abs(pred), abs(quotient), rate_scale, noise / abs(s))
         rows.append(VariationRow(float(s), float(quotient), float(pred),
                                  float(err), float(err / denom)))
     pairwise = []
     for a, b in zip(rows, rows[1:]):
-        if a.abs_error > 0 and b.abs_error > 0 and a.s != b.s:
+        # no order when both errors are roundoff (a lapse with a vanishing variation)
+        resolved = a.abs_error >= noise / abs(a.s) or b.abs_error >= noise / abs(b.s)
+        if a.abs_error > 0 and b.abs_error > 0 and a.s != b.s and resolved:
             pairwise.append(float(np.log(a.abs_error / b.abs_error) / np.log(a.s / b.s)))
         else:
             pairwise.append(float("nan"))

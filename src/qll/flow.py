@@ -19,41 +19,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import surface as sf
-from .criticality import _lambda_star, radial_rate, residual_report
+from .criticality import MODES, _lambda_star, radial_rate, residual_report
 from .errors import ChartDomainError, FlowError, GeometryError, NumericError
 from .functionals import hawking_functional
 from .harmonics import HarmonicTransform
 from .surface import SurfaceMesh
 
 FOUR_PI = 4.0 * np.pi
+INITIAL_STEP = 0.1                    # first step, in units of (area radius)^4
 STEP_GROWTH = 1.2                     # step-size growth after an accepted step
+BACKTRACK_FACTOR = 0.5                # step-size cut after a rejected trial
+MAX_BACKTRACKS = 40                   # rejected trials before a step stagnates
+SMOOTHING_TAU = 0.05                  # damping 1 / (1 + tau (l(l+1))^2)
 
 
 @dataclass
 class FlowConfig:
+    """What a flow solves (mode, target_area) and when it stops."""
+
     mode: str = "willmore"            # or "hawking"
     target_area: float = FOUR_PI
-    initial_step: float = 0.1         # in units of (area radius)^4
     max_steps: int = 5000
     residual_tol: float = 1e-5
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
-    smoothing_tau: float = 0.05       # damping 1 / (1 + tau (l(l+1))^2)
 
     def __post_init__(self):
-        if self.mode not in ("willmore", "hawking"):
-            raise ValueError("mode must be 'willmore' or 'hawking'")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         if self.target_area <= 0 or self.residual_tol <= 0:
             raise ValueError("target_area and residual_tol must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
-        if not self.smoothing_tau >= 0:
-            raise ValueError("smoothing_tau must be >= 0")
-        for name in ("max_steps", "max_backtracks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
 
 @dataclass
@@ -76,11 +71,11 @@ class FlowState:
     history: list = field(default_factory=list)
 
 
-def _rescale_to_area(space, geom, target, rtol=1e-12, max_iter=12):
+def _rescale_to_area(space, geom, target):
     mesh = geom.mesh
-    for _ in range(max_iter):
+    for _ in range(12):
         c = np.sqrt(target / geom.area)
-        if abs(c - 1.0) < rtol:
+        if abs(c - 1.0) < 1e-12:
             break
         mesh = mesh.scaled(c)
         geom = sf.induced_geometry(space, mesh)
@@ -104,10 +99,10 @@ def run_flow(space, config, initial_mesh):
 
     transform = HarmonicTransform(grid)
     ell = np.arange(transform.lmax + 1, dtype=float)
-    damping = 1.0 / (1.0 + config.smoothing_tau * (ell * (ell + 1.0)) ** 2)
+    damping = 1.0 / (1.0 + SMOOTHING_TAU * (ell * (ell + 1.0)) ** 2)
     rbar4 = (config.target_area / FOUR_PI) ** 2
-    dt = config.initial_step * rbar4
-    dt_max = 16.0 * config.initial_step * rbar4
+    dt = INITIAL_STEP * rbar4
+    dt_max = 16.0 * INITIAL_STEP * rbar4
 
     functional = hawking_functional(geom)
     history = []
@@ -134,21 +129,21 @@ def run_flow(space, config, initial_mesh):
         stalled = False
         radius_scale = float(np.max(np.abs(mesh.radius)))
         trial_dt = dt
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             if trial_dt * float(np.max(np.abs(rate))) <= 1e-15 * radius_scale:
                 # step no longer changes the mesh at float resolution
                 stalled = True
                 break
             new_radius = mesh.radius + trial_dt * rate
             if np.any(new_radius <= 0.0):
-                trial_dt *= config.backtrack_factor
+                trial_dt *= BACKTRACK_FACTOR
                 continue
             try:
                 trial_geom = sf.induced_geometry(space, SurfaceMesh(grid, new_radius, mesh.center))
                 trial_mesh, trial_geom = _rescale_to_area(space, trial_geom, config.target_area)
                 trial_functional = hawking_functional(trial_geom)
             except (ChartDomainError, GeometryError, NumericError):
-                trial_dt *= config.backtrack_factor
+                trial_dt *= BACKTRACK_FACTOR
                 continue
             degenerate_only = False
             if trial_functional <= functional:
@@ -156,7 +151,7 @@ def run_flow(space, config, initial_mesh):
                 dt = min(trial_dt * STEP_GROWTH, dt_max)
                 accepted = True
                 break
-            trial_dt *= config.backtrack_factor
+            trial_dt *= BACKTRACK_FACTOR
         if not accepted:
             if degenerate_only and not stalled:
                 state = FlowState(mesh, "failed", step, functional, geom.area,

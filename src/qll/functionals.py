@@ -152,7 +152,7 @@ class EnergyReport:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=0.0):
+def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0):
     """Assemble an EnergyReport; optional pieces are skipped when not applicable."""
     # two integrals as in report.json; hawking_energy's one pass differs in the last bits if k != 0
     w2 = sf.integrate(geom, geom.H ** 2)
@@ -174,7 +174,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0, extra_charge_sq=
         dec_min=float(np.min(fields.mu - fields.jnorm)),
     )
     if space.efield_fn is not None:
-        Q, eq, conv = charged_hawking_energy(geom, extra_charge_sq)
+        Q, eq, conv = charged_hawking_energy(geom)
         report.charge, report.charged_energy, report.charged_convention = float(Q), eq, conv
     if Lambda is not None:
         report.Lambda = float(Lambda)

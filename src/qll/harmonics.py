@@ -53,16 +53,14 @@ def real_harmonic_grid(grid, l, m):
 class HarmonicTransform:
     """Analysis/synthesis between grid fields and harmonic coefficients.
 
-    Exact (to roundoff) for fields band-limited to degree lmax and order
-    |m| <= nphi/2 - 1; higher content is discarded, which makes `filtered`
+    Exact (to roundoff) for fields band-limited to degree lmax = ntheta - 1
+    and order |m| <= nphi/2 - 1; higher content is discarded, which makes `filtered`
     a symmetric positive semi-definite smoother.
     """
 
-    def __init__(self, grid, lmax=None):
+    def __init__(self, grid):
         self.grid = grid
-        if lmax is None:
-            lmax = grid.ntheta - 1
-        self.lmax = min(int(lmax), grid.ntheta - 1)
+        self.lmax = grid.ntheta - 1
         self.mmax = min(self.lmax, grid.nphi // 2 - 1)
         # per-m Legendre matrices on the Gauss-Legendre nodes
         self._pm = [_legendre_table(grid.costheta, self.lmax, m)

@@ -255,8 +255,8 @@ def radial_sphere(model, r, lam=0.0):
     return report
 
 
-def nd_energy_consistency(model, r, grid_shape=(48, 96)):
-    """Defects |E_{3,i} - E| of both dynamical energies against the 3-d modules.
+def nd_energy_consistency(model, r):
+    """Defects |E_{3,i} - E| of both dynamical energies against the 3-d modules at 48x96.
 
     Only meaningful at n = 3, where the radial model has a meshed twin.
     """
@@ -265,7 +265,7 @@ def nd_energy_consistency(model, r, grid_shape=(48, 96)):
     if model.catalog_params is None:
         raise ValueError(f"radial model '{model.name}' has no 3-d catalog twin")
     space = catalog(model.name, **model.catalog_params)
-    grid = SphereGrid(*grid_shape)
+    grid = SphereGrid(48, 96)
     geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, r))
     energy3 = hawking_energy(geom)
     rep = radial_sphere(model, r)

@@ -106,13 +106,11 @@ class SurfaceGeometry:
     k_amb: np.ndarray           # ambient k at nodes (zeros when time symmetric)
     induced_metric: np.ndarray  # (nt, np, 2, 2)
     inv_induced: np.ndarray
-    det_induced: np.ndarray
     area_element: np.ndarray    # sqrt(det g_Sigma)
     second_form: np.ndarray     # (nt, np, 2, 2)
     H: np.ndarray
     traceless_sq: np.ndarray    # |B_ring|^2
     trk: np.ndarray
-    k_nu_nu: np.ndarray
     P: np.ndarray
     gauss_curvature: np.ndarray  # K = Sc_Sigma / 2, intrinsic
     theta_plus: np.ndarray
@@ -221,9 +219,9 @@ def induced_geometry(space, mesh):
     geom = SurfaceGeometry(
         space=space, mesh=mesh, X=X, e_theta=e_t, e_phi=e_p, nu=nu,
         g_amb=g, ginv_amb=ginv, dg_amb=dg, k_amb=k,
-        induced_metric=g2, inv_induced=ginv2, det_induced=det2,
+        induced_metric=g2, inv_induced=ginv2,
         area_element=J, second_form=B, H=H, traceless_sq=traceless_sq,
-        trk=trk, k_nu_nu=k_nu_nu, P=P, gauss_curvature=K,
+        trk=trk, P=P, gauss_curvature=K,
         theta_plus=theta_plus, theta_minus=theta_minus, area=area)
     _check_build_invariants(geom, nu_cov)
     return geom
@@ -306,13 +304,24 @@ def integrate(geom, field):
     return geom.grid.integrate(field, geom.area_element)
 
 
+def _raise_index(geom, w_t, w_p):
+    """Contravariant components of the surface covector (w_theta, w_phi)."""
+    inv = geom.inv_induced
+    return (inv[..., 0, 0] * w_t + inv[..., 0, 1] * w_p,
+            inv[..., 1, 0] * w_t + inv[..., 1, 1] * w_p)
+
+
+def _divergence(geom, v_t, v_p):
+    """div_Sigma of the surface vector field with components (v^theta, v^phi)."""
+    J = geom.area_element
+    # J continues through the poles with the odd smooth branch (J ~ sin theta
+    # near a pole), so J v^theta continues evenly
+    return (geom.grid.dtheta(J * v_t, +1) + geom.grid.dphi(J * v_p)) / J
+
+
 def surface_gradient(geom, f):
     """Components (grad f)^theta, (grad f)^phi of the induced gradient."""
-    f_t = geom.grid.dtheta(f, +1)
-    f_p = geom.grid.dphi(f)
-    gt = geom.inv_induced[..., 0, 0] * f_t + geom.inv_induced[..., 0, 1] * f_p
-    gp = geom.inv_induced[..., 1, 0] * f_t + geom.inv_induced[..., 1, 1] * f_p
-    return gt, gp
+    return _raise_index(geom, geom.grid.dtheta(f, +1), geom.grid.dphi(f))
 
 
 def gradient_ambient(geom, f):
@@ -323,14 +332,7 @@ def gradient_ambient(geom, f):
 
 def surface_laplacian(geom, f):
     """Laplace-Beltrami in divergence form."""
-    gt, gp = surface_gradient(geom, f)
-    J = geom.area_element
-    # J continues through the poles with the odd smooth branch (J ~ sin theta
-    # near a pole), so J * (grad f)^theta continues evenly
-    flux_t = J * gt
-    flux_p = J * gp
-    div = geom.grid.dtheta(flux_t, +1) + geom.grid.dphi(flux_p)
-    return div / J
+    return _divergence(geom, *surface_gradient(geom, f))
 
 
 def tangential_divergence(geom, V):
@@ -338,12 +340,7 @@ def tangential_divergence(geom, V):
     # covariant surface components select the tangential part automatically
     V_t = np.einsum("...ab,...a,...b->...", geom.g_amb, V, geom.e_theta)
     V_p = np.einsum("...ab,...a,...b->...", geom.g_amb, V, geom.e_phi)
-    vt = geom.inv_induced[..., 0, 0] * V_t + geom.inv_induced[..., 0, 1] * V_p
-    vp = geom.inv_induced[..., 1, 0] * V_t + geom.inv_induced[..., 1, 1] * V_p
-    J = geom.area_element
-    # same odd continuation of J as in surface_laplacian
-    div = geom.grid.dtheta(J * vt, +1) + geom.grid.dphi(J * vp)
-    return div / J
+    return _divergence(geom, *_raise_index(geom, V_t, V_p))
 
 
 def gauss_equation_check(space, geom):

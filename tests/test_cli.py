@@ -268,11 +268,15 @@ def broken_sweep(**fields):
     lambda: broken_sweep(r_values=5),
     lambda: broken_sweep(params={"mass": 2.0}),
     lambda: ("eval", "[1, 2]"),
-    # out-of-range flow settings; the error line must name the field
+    # flow settings that are out of range or not settings; the error line must name the field
     lambda: broken_flow(max_backtracks=-1),
     lambda: broken_flow(smoothing_tau=-0.25),
     lambda: broken_flow(initial_step=-0.1),
     lambda: broken_flow(max_steps=-3),
+    # unknown keys are errors that name the key, not silently dropped
+    lambda: broken_flow(residual_tl=1e-5),
+    lambda: ("varcheck", json.dumps(dict(VALID_RUN, varcheck={"lapse": {"l": 2, "ell": 3}})),
+             "varcheck.lapse.ell"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

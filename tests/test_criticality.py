@@ -119,6 +119,18 @@ def test_variation_exercises_k_terms(grid32, paraboloid):
     assert chk.observed_order > 1.9
 
 
+def test_variation_order_is_nan_below_roundoff(grid24, hyperboloid):
+    # zonal surface, m = 1 lapse: the functional is even in s, so every
+    # quotient error is roundoff and has no order
+    mesh = sf.round_sphere_with_harmonics(grid24, 1.0, [(2, 0, 0.05)])
+    alpha = real_harmonic_grid(grid24, 3, 1)
+    chk = cr.first_variation_check(hyperboloid, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3))
+    assert abs(chk.prediction) < 1e-14
+    assert all(row.abs_error < 1e-13 / row.s for row in chk.rows)
+    assert np.isnan(chk.observed_order)
+    assert all(np.isnan(order) for order in chk.pairwise_orders)
+
+
 @pytest.mark.parametrize("name,params,r", [
     ("euclidean", {}, 1.0),
     ("schwarzschild", {"m": 1.0}, 4.0),

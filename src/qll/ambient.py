@@ -144,6 +144,13 @@ def _analytic(space):
     return space.derivative_mode == "analytic" and space.dmetric_fn is not None
 
 
+def _dmetric(space, points):
+    """dg at points, honoring the derivative mode."""
+    if _analytic(space):
+        return space.dmetric_fn(points)
+    return _fd_first(space.metric_fn, points, _fd_steps(points, space.fd_step)[0])
+
+
 def _d2metric(space, points):
     """d2g at points, honoring the derivative mode."""
     if _analytic(space):
@@ -186,10 +193,7 @@ def christoffels_at(space, points):
     """
     points = np.asarray(points, dtype=float)
     g, ginv = space._metric_and_inverse(points)
-    if _analytic(space):
-        dg = space.dmetric_fn(points)
-    else:
-        dg = _fd_first(space.metric_fn, points, _fd_steps(points, space.fd_step)[0])
+    dg = _dmetric(space, points)
     return _christoffels(ginv, dg), g, ginv, dg
 
 

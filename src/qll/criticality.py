@@ -131,7 +131,7 @@ def first_variation_check(space, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3)):
         err = abs(quotient - pred)
         # meaningful denominator also on critical surfaces, where the
         # linear response vanishes and only the secant rate sets the scale
-        rate_scale = (abs(hplus - h0) + abs(hminus - h0)) / (2.0 * s)
+        rate_scale = (abs(hplus - h0) + abs(hminus - h0)) / (2.0 * abs(s))
         denom = max(abs(pred), abs(quotient), rate_scale, noise / abs(s))
         rows.append(VariationRow(float(s), float(quotient), float(pred),
                                  float(err), float(err / denom)))
@@ -139,8 +139,8 @@ def first_variation_check(space, mesh, alpha, s_values=(1.6e-2, 8e-3, 4e-3)):
     for a, b in zip(rows, rows[1:]):
         # no order when both errors are roundoff (a lapse with a vanishing variation)
         resolved = a.abs_error >= noise / abs(a.s) or b.abs_error >= noise / abs(b.s)
-        if a.abs_error > 0 and b.abs_error > 0 and a.s != b.s and resolved:
-            pairwise.append(float(np.log(a.abs_error / b.abs_error) / np.log(a.s / b.s)))
+        if a.abs_error > 0 and b.abs_error > 0 and abs(a.s) != abs(b.s) and resolved:
+            pairwise.append(float(np.log(a.abs_error / b.abs_error) / np.log(abs(a.s / b.s))))
         else:
             pairwise.append(float("nan"))
     # the s^2 truncation sits on top of a fixed spatial-discretization floor,

@@ -3,8 +3,10 @@
 The descent speed is the lambda*-projected Euler-Lagrange residual (the
 negative constrained gradient up to the overall factor absorbed into the
 step size).  Steps are explicit Euler on the radius field with a
-backtracking line search on the functional and an exact multiplicative
-area rescale after every accepted step.
+backtracking line search on the functional.  Every trial mesh is rescaled
+multiplicatively to the target area before its functional is compared;
+the rescale iterates compute only their area (the area stage of a build),
+and only the final, rescaled mesh gets its full geometry.
 
 Plain explicit Euler on a 4th-order parabolic flow would need steps that
 scale like (grid spacing)^4; to converge in a practical step budget the
@@ -71,29 +73,32 @@ class FlowState:
     history: list = field(default_factory=list)
 
 
-def _rescale_to_area(space, geom, target):
-    mesh = geom.mesh
+def _rescale_to_area(space, stage, target):
+    """Completed geometry of the area stage's mesh scaled to the target area.
+
+    The scaling iterates compute only their area stage; the last one alone is completed.
+    """
     for _ in range(12):
-        c = np.sqrt(target / geom.area)
+        c = np.sqrt(target / stage.area)
         if abs(c - 1.0) < 1e-12:
             break
-        mesh = mesh.scaled(c)
-        geom = sf.induced_geometry(space, mesh)
-    if abs(geom.area - target) > 1e-8 * target:
+        stage = sf._area_stage(space, stage.mesh.scaled(c))
+    if abs(stage.area - target) > 1e-8 * target:
         raise NumericError("area rescale did not converge to the target")
-    return mesh, geom
+    return sf.induced_geometry(space, stage)
 
 
 def run_flow(space, config, initial_mesh):
     grid = initial_mesh.grid
-    geom = sf.induced_geometry(space, initial_mesh)
-    if abs(geom.area - config.target_area) > 0.5 * config.target_area:
+    stage = sf._area_stage(space, initial_mesh)
+    if abs(stage.area - config.target_area) > 0.5 * config.target_area:
         raise ValueError("initial area differs from target_area by more than 50%")
     try:
-        mesh, geom = _rescale_to_area(space, geom, config.target_area)
+        geom = _rescale_to_area(space, stage, config.target_area)
     except (ChartDomainError, GeometryError, NumericError) as exc:
-        state = FlowState(initial_mesh, "failed", 0, hawking_functional(geom),
-                          geom.area, float("nan"), [])
+        state = FlowState(initial_mesh, "failed", 0,
+                          hawking_functional(sf.induced_geometry(space, stage)),
+                          stage.area, float("nan"), [])
         raise FlowError(f"initial mesh cannot reach the target area: {exc}",
                         state=state) from exc
 
@@ -127,40 +132,40 @@ def run_flow(space, config, initial_mesh):
         accepted = False
         degenerate_only = True
         stalled = False
-        radius_scale = float(np.max(np.abs(mesh.radius)))
+        radius_scale = float(np.max(np.abs(geom.mesh.radius)))
         trial_dt = dt
         for _ in range(MAX_BACKTRACKS + 1):
             if trial_dt * float(np.max(np.abs(rate))) <= 1e-15 * radius_scale:
                 # step no longer changes the mesh at float resolution
                 stalled = True
                 break
-            new_radius = mesh.radius + trial_dt * rate
+            new_radius = geom.mesh.radius + trial_dt * rate
             if np.any(new_radius <= 0.0):
                 trial_dt *= BACKTRACK_FACTOR
                 continue
             try:
-                trial_geom = sf.induced_geometry(space, SurfaceMesh(grid, new_radius, mesh.center))
-                trial_mesh, trial_geom = _rescale_to_area(space, trial_geom, config.target_area)
+                trial = sf._area_stage(space, SurfaceMesh(grid, new_radius, geom.mesh.center))
+                trial_geom = _rescale_to_area(space, trial, config.target_area)
                 trial_functional = hawking_functional(trial_geom)
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= BACKTRACK_FACTOR
                 continue
             degenerate_only = False
             if trial_functional <= functional:
-                mesh, geom, functional = trial_mesh, trial_geom, trial_functional
+                geom, functional = trial_geom, trial_functional
                 dt = min(trial_dt * STEP_GROWTH, dt_max)
                 accepted = True
                 break
             trial_dt *= BACKTRACK_FACTOR
         if not accepted:
             if degenerate_only and not stalled:
-                state = FlowState(mesh, "failed", step, functional, geom.area,
+                state = FlowState(geom.mesh, "failed", step, functional, geom.area,
                                   rep.l2_residual, history)
                 raise FlowError("mesh degenerated during flow", state=state)
             status = "stagnated"
             break
         step += 1
 
-    return FlowState(mesh=mesh, status=status, step_index=step,
+    return FlowState(mesh=geom.mesh, status=status, step_index=step,
                      functional=functional, area=geom.area,
                      l2_residual=history[-1].residual, history=history)

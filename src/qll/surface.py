@@ -3,16 +3,19 @@
 A surface is a radial graph r(theta, phi) over the round sphere about a
 fixed center, sampled on a SphereGrid.  induced_geometry computes every
 first/second-fundamental-form quantity entering the energies and the
-Euler-Lagrange residuals; the remaining functions provide quadrature,
+Euler-Lagrange residuals in two stages: the area stage (frame, ambient and
+induced metric, area) and its completion.  The intrinsic Gauss curvature
+is computed on first use.  The remaining functions provide quadrature,
 intrinsic surface calculus and the Gauss-equation consistency check.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ambient import _fields, christoffels_at
+from .ambient import _christoffels, _dmetric, _fields
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid
@@ -112,7 +115,6 @@ class SurfaceGeometry:
     traceless_sq: np.ndarray    # |B_ring|^2
     trk: np.ndarray
     P: np.ndarray
-    gauss_curvature: np.ndarray  # K = Sc_Sigma / 2, intrinsic
     theta_plus: np.ndarray
     theta_minus: np.ndarray
     area: float
@@ -125,6 +127,14 @@ class SurfaceGeometry:
     def ambient(self):
         """AmbientFields at the nodes, built on first use from g^{-1}, dg and k."""
         return _fields(self.space, self.X, self.ginv_amb, self.dg_amb, self.k_amb)
+
+    @cached_property
+    def gauss_curvature(self):
+        """K = Sc_Sigma / 2, intrinsic, computed on first use from the induced metric."""
+        g2 = self.induced_metric
+        g_tt, g_tp, g_pp = g2[..., 0, 0], g2[..., 0, 1], g2[..., 1, 1]
+        return _gauss_curvature_intrinsic(self.grid, g_tt, g_tp, g_pp, self.inv_induced,
+                                          g_tt * g_pp - g_tp ** 2)
 
 
 def ambient_fields(space, geom):
@@ -142,26 +152,30 @@ def tangential_trace_dnu_k(geom, nabla_k):
 
 
 def induced_geometry(space, mesh):
+    """Every induced quantity of mesh in space: the area stage, then its completion.
+
+    mesh may also be the area stage of a mesh in this space, computed
+    already (the flow's area rescale hands over its last iterate); it is
+    then only completed.
+    """
+    stage = mesh if isinstance(mesh, _AreaStage) else _area_stage(space, mesh)
+    return _completed(space, stage)
+
+
+# the first stage of a build: the frame, both metrics and the area
+_AreaStage = namedtuple("_AreaStage", "mesh X r_t r_p e_t e_p E g ginv g_tt g_tp g_pp det2 J area")
+
+
+def _area_stage(space, mesh):
+    """Embedding, tangent frame, g (chart, SPD and symmetry checked) and g_Sigma."""
     grid = mesh.grid
     r = mesh.radius
     X = mesh.embedding()
-
     r_t = grid.dtheta(r)
     r_p = grid.dphi(r)
-    r_tt = grid.d2theta(r)
-    r_tp = grid.dthetaphi(r)
-    r_pp = grid.d2phi(r)
-
-    nh, nh_t, nh_p = grid.nhat, grid.dth_nhat, grid.dph_nhat
-    e_t = r_t[..., None] * nh + r[..., None] * nh_t
-    e_p = r_p[..., None] * nh + r[..., None] * nh_p
-    X_tt = r_tt[..., None] * nh + 2.0 * r_t[..., None] * nh_t + r[..., None] * grid.d2th_nhat
-    X_tp = (r_tp[..., None] * nh + r_t[..., None] * nh_p
-            + r_p[..., None] * nh_t + r[..., None] * grid.dthph_nhat)
-    X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
-
-    gamma, g, ginv, dg = christoffels_at(space, X)
-    batch = X.shape[:-1]
+    e_t = r_t[..., None] * grid.nhat + r[..., None] * grid.dth_nhat
+    e_p = r_p[..., None] * grid.nhat + r[..., None] * grid.dph_nhat
+    g, ginv = space._metric_and_inverse(X)
 
     # lowered tangent vectors (g e_theta, g e_phi) as the columns of gE
     E = np.stack([e_t, e_p], axis=-1)
@@ -173,6 +187,30 @@ def induced_geometry(space, mesh):
     if np.any(det2 <= 0.0) or not np.all(np.isfinite(det2)):
         bad = np.argwhere(~(det2 > 0.0))[0]
         raise GeometryError(f"degenerate induced metric at node (theta={bad[0]}, phi={bad[1]})")
+    J = np.sqrt(det2)
+    return _AreaStage(mesh, X, r_t, r_p, e_t, e_p, E, g, ginv, g_tt, g_tp, g_pp, det2, J,
+                      grid.integrate(np.ones_like(J), J))
+
+
+def _completed(space, stage):
+    """The SurfaceGeometry of an area stage: second fundamental form, k-data and checks."""
+    mesh, X, r_t, r_p, e_t, e_p, E, g, ginv, g_tt, g_tp, g_pp, det2, J, area = stage
+    grid = mesh.grid
+    r = mesh.radius
+    r_tt = grid.d2theta(r)
+    r_tp = grid.dthetaphi(r)
+    r_pp = grid.d2phi(r)
+    nh, nh_t, nh_p = grid.nhat, grid.dth_nhat, grid.dph_nhat
+    X_tt = r_tt[..., None] * nh + 2.0 * r_t[..., None] * nh_t + r[..., None] * grid.d2th_nhat
+    X_tp = (r_tp[..., None] * nh + r_t[..., None] * nh_p
+            + r_p[..., None] * nh_t + r[..., None] * grid.dthph_nhat)
+    X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
+
+    # g^{-1} is the area stage's, already checked; g is not evaluated again
+    dg = _dmetric(space, X)
+    gamma = _christoffels(ginv, dg)
+    batch = X.shape[:-1]
+
     g2 = _sym2(g_tt, g_tp, g_pp)
     inv_tt, inv_tp, inv_pp = g_pp / det2, -g_tp / det2, g_tt / det2
     ginv2 = _sym2(inv_tt, inv_tp, inv_pp)
@@ -208,21 +246,13 @@ def induced_geometry(space, mesh):
     k_nu_nu = _dot(nu, (k @ nu[..., None])[..., 0])
     P = trk - k_nu_nu
 
-    K = _gauss_curvature_intrinsic(grid, g_tt, g_tp, g_pp, ginv2, det2)
-
-    theta_plus = (P + H) / SQRT2
-    theta_minus = (P - H) / SQRT2
-
-    J = np.sqrt(det2)
-    area = grid.integrate(np.ones_like(J), J)
-
     geom = SurfaceGeometry(
         space=space, mesh=mesh, X=X, e_theta=e_t, e_phi=e_p, nu=nu,
         g_amb=g, ginv_amb=ginv, dg_amb=dg, k_amb=k,
         induced_metric=g2, inv_induced=ginv2,
         area_element=J, second_form=B, H=H, traceless_sq=traceless_sq,
-        trk=trk, P=P, gauss_curvature=K,
-        theta_plus=theta_plus, theta_minus=theta_minus, area=area)
+        trk=trk, P=P, theta_plus=(P + H) / SQRT2, theta_minus=(P - H) / SQRT2,
+        area=area)
     _check_build_invariants(geom, nu_cov)
     return geom
 

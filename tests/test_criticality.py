@@ -131,6 +131,17 @@ def test_variation_order_is_nan_below_roundoff(grid24, hyperboloid):
     assert all(np.isnan(order) for order in chk.pairwise_orders)
 
 
+def test_variation_errors_are_even_in_s(grid24, schwarzschild):
+    # s and -s give the same central difference, hence the same errors
+    mesh = sf.coordinate_sphere(grid24, 4.0)
+    alpha = real_harmonic_grid(grid24, 2, 0)
+    chk = cr.first_variation_check(schwarzschild, mesh, alpha, s_values=(1.6e-2, -1.6e-2))
+    plus, minus = chk.rows
+    assert (minus.abs_error, minus.rel_error) == (plus.abs_error, plus.rel_error)
+    assert plus.rel_error < 1e-3
+    assert np.isnan(chk.observed_order)
+
+
 @pytest.mark.parametrize("name,params,r", [
     ("euclidean", {}, 1.0),
     ("schwarzschild", {"m": 1.0}, 4.0),

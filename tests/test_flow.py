@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qll import flow
 from qll import surface as sf
 from qll.criticality import residual_report
-from qll.functionals import hawking_energy
+from qll.functionals import hawking_energy, hawking_functional
 
 
 def willmore_config(**kw):
@@ -117,10 +119,47 @@ def test_flow_failure_carries_state(paraboloid):
         flow.run_flow(paraboloid, cfg, mesh)
     assert err.value.state is not None
     assert err.value.state.status == "failed"
+    # the state describes the initial mesh, whose area stage alone preceded the rescale
+    initial = sf.induced_geometry(paraboloid, mesh)
+    assert err.value.state.functional == hawking_functional(initial)
+    assert err.value.state.area == initial.area
 
 
 def test_area_rescale_exact_in_curved_space(grid32, hyperboloid):
-    start = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid32, 1.1))
-    mesh, geom = flow._rescale_to_area(hyperboloid, start, 4.0 * np.pi)
-    assert geom.mesh is mesh
+    start = sf._area_stage(hyperboloid, sf.coordinate_sphere(grid32, 1.1))
+    geom = flow._rescale_to_area(hyperboloid, start, 4.0 * np.pi)
     assert abs(geom.area - 4.0 * np.pi) / (4.0 * np.pi) < 1e-10
+    full = sf.induced_geometry(hyperboloid, geom.mesh)
+    assert full.area == geom.area
+    assert np.array_equal(full.H, geom.H)
+
+
+def test_flow_builds_only_what_it_reads(grid32, euclidean, monkeypatch):
+    # every trial and the initial mesh are completed once; the rescale
+    # iterates compute only their area stage, and nothing reads K
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "trial", "_area_stage",
+                           "_rescale_to_area"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def gauss_curvature_read(*args):
+        raise AssertionError("the flow computed the Gauss curvature")
+
+    space = dataclasses.replace(euclidean, **{
+        name: counted(name, getattr(euclidean, name)) for name in ("metric_fn", "dmetric_fn")})
+    monkeypatch.setattr(flow, "SurfaceMesh", counted("trial", sf.SurfaceMesh))
+    for owner, name in ((sf, "_area_stage"), (flow, "_rescale_to_area")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    monkeypatch.setattr(sf, "_gauss_curvature_intrinsic", gauss_curvature_read)
+
+    mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
+    state = flow.run_flow(space, willmore_config(), mesh)
+    assert state.status == "converged"
+    assert calls["_rescale_to_area"] == calls["trial"] + 1
+    assert calls["dmetric_fn"] == calls["_rescale_to_area"]
+    assert calls["metric_fn"] == calls["_area_stage"]
+    assert calls["_area_stage"] > calls["_rescale_to_area"]

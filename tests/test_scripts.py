@@ -60,3 +60,30 @@ def test_readme_scripts(tmp_path):
     assert len(rows) == 36
     # the documented constant E = m curve of Schwarzschild coordinate spheres
     assert all(abs(float(row["hawking_energy"]) - 1.0) < 1e-10 for row in rows)
+
+
+def test_bench_pairs_summary():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(os.path.join(ROOT, "scripts"))
+    end_to_end = [{"name": "op_mean_ms", "unit": "ms", "better": "lower"},
+                  {"name": "rate", "unit": "1/s", "better": "higher"}]
+    runs = [((10.0, 5.0), (8.0, 6.0)), ((12.0, 4.0), (9.0, 4.0)), ((11.0, 6.0), (11.0, 5.0)),
+            ((9.0, 5.0), (10.0, 7.0)), ((14.0, 3.0), (7.0, 8.0))]
+    pairs = [{"seed": 100 + i,
+              "parent": {"op_mean_ms": p[0], "rate": p[1]},
+              "change": {"op_mean_ms": c[0], "rate": c[1]}} for i, (p, c) in enumerate(runs)]
+    out = bench_pairs.summarize(pairs, end_to_end)
+    op = out["op_mean_ms"]
+    # lower wins; the tie at seed 102 counts for neither side
+    assert (op["parent"]["pairs_won"], op["change"]["pairs_won"]) == (1, 3)
+    assert (op["parent"]["q1"], op["parent"]["median"], op["parent"]["q3"]) == (10.0, 11.0, 12.0)
+    assert (op["change"]["q1"], op["change"]["median"], op["change"]["q3"]) == (8.0, 9.0, 10.0)
+    assert op["change"]["runs"] == [8.0, 9.0, 11.0, 10.0, 7.0]
+    rate = out["rate"]
+    # higher wins
+    assert (rate["parent"]["pairs_won"], rate["change"]["pairs_won"]) == (1, 3)
+    assert rate["change"]["median"] == 6.0
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)

@@ -208,24 +208,59 @@ def test_other_space_is_rejected(grid24, hyperboloid, evaluate):
         evaluate(catalog("hyperboloid", a=1.0), geom)
 
 
-def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid):
-    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "d2metric_fn", "k_fn", "dk_fn"), 0)
-
+def _counted_space(space, names, calls):
+    """A copy of space whose evaluators named in names count their calls in calls."""
     def counted(name):
-        fn = getattr(hyperboloid, name)
+        fn = getattr(space, name)
 
         def wrapper(points):
             calls[name] += 1
             return fn(points)
         return wrapper
 
-    space = dataclasses.replace(hyperboloid, **{name: counted(name) for name in calls})
+    return dataclasses.replace(space, **{name: counted(name) for name in names})
+
+
+def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypatch):
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "d2metric_fn", "k_fn", "dk_fn",
+                           "gauss_curvature"), 0)
+    space = _counted_space(hyperboloid, list(calls)[:-1], calls)
+    intrinsic = sf._gauss_curvature_intrinsic
+
+    def gauss_curvature(*args):
+        calls["gauss_curvature"] += 1
+        return intrinsic(*args)
+
+    monkeypatch.setattr(sf, "_gauss_curvature_intrinsic", gauss_curvature)
     geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, 1.0, [(2, 0, 0.05)]))
-    energy_report(space, geom)
     residual_report(space, geom, "willmore")
     residual_report(space, geom, "hawking")
+    assert calls["gauss_curvature"] == 0
+    energy_report(space, geom)
     sf.gauss_equation_check(space, geom)
-    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "d2metric_fn": 1, "k_fn": 1, "dk_fn": 1}
+    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "d2metric_fn": 1, "k_fn": 1, "dk_fn": 1,
+                     "gauss_curvature": 1}
+
+
+def test_completed_area_stage_is_the_full_build(grid24, schwarzschild):
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn"), 0)
+    space = _counted_space(schwarzschild, calls, calls)
+    mesh = sf.round_sphere_with_harmonics(grid24, 4.0, [(2, 1, 0.05), (3, -2, 0.03)])
+    stage = sf._area_stage(space, mesh)
+    assert calls == {"metric_fn": 1, "dmetric_fn": 0}
+    geom = sf.induced_geometry(space, stage)
+    # the completion reuses the stage's checked g and g^{-1}
+    assert calls == {"metric_fn": 1, "dmetric_fn": 1}
+    full = sf.induced_geometry(space, mesh)
+    for f in dataclasses.fields(sf.SurfaceGeometry):
+        value = getattr(geom, f.name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(full, f.name)), f.name
+    assert geom.area == full.area == stage.area
+    # K on first use is bitwise the K of the area stage's own det g_Sigma
+    K = sf._gauss_curvature_intrinsic(grid24, stage.g_tt, stage.g_tp, stage.g_pp,
+                                      geom.inv_induced, stage.det2)
+    assert np.array_equal(geom.gauss_curvature, K)
 
 
 # -- mesh I/O ----------------------------------------------------------------

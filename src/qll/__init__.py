@@ -21,8 +21,7 @@ def _cap_blas_threads():
 
 _cap_blas_threads()
 
-from .ambient import (AmbientSpace, attach_efield, catalog, constraint_data_at,
-                      curvature_at, nabla_k_at)
+from .ambient import AmbientSpace, catalog, constraint_data_at, curvature_at, nabla_k_at
 from .criticality import first_variation_check, residual_report
 from .errors import (CatalogError, ChartDomainError, ConfigError, EmbeddingError,
                      FlowError, GeometryError, HypothesisError, NumericError,

@@ -25,25 +25,22 @@ class AmbientSpace:
     params: dict
     metric_fn: object
     k_fn: object = None            # None means k identically 0
+    # derivatives d_c g_ab, d_c d_d g_ab and d_c k_ab; None means central differences
     dmetric_fn: object = None
     d2metric_fn: object = None
     dk_fn: object = None
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
-    derivative_mode: str = "analytic"
-    fd_step: float = None
+    fd_step: float = None          # None means the eps^(1/3) / eps^(1/4) step rules
 
     @property
     def time_symmetric(self):
         return self.k_fn is None
 
-    def contains(self, points):
-        if self.chart_fn is None:
-            return np.ones(np.shape(points)[:-1], dtype=bool)
-        return np.asarray(self.chart_fn(np.asarray(points, dtype=float)))
-
     def check_points(self, points):
-        ok = self.contains(points)
+        if self.chart_fn is None:
+            return
+        ok = np.asarray(self.chart_fn(points))
         if not np.all(ok):
             raise ChartDomainError(
                 f"{np.count_nonzero(~ok)} point(s) outside the chart of '{self.name}'")
@@ -68,14 +65,6 @@ class AmbientSpace:
         if self.efield_fn is None:
             return None
         return self.efield_fn(np.asarray(points, dtype=float))
-
-    def with_derivative_mode(self, mode, step=None):
-        """Return a copy using 'analytic' or 'fd' derivatives."""
-        if mode not in ("analytic", "fd"):
-            raise ValueError("derivative mode must be 'analytic' or 'fd'")
-        if mode == "analytic" and self.dmetric_fn is None:
-            raise ValueError(f"catalog entry '{self.name}' has no analytic derivatives")
-        return replace(self, derivative_mode=mode, fd_step=step)
 
 
 # row-major places of the cofactors 00, 01, 02, 11, 12, 22 of a symmetric 3x3
@@ -103,7 +92,7 @@ def _spd_inverse(g, name):
 
 
 # ---------------------------------------------------------------------------
-# derivative bundles (analytic or finite-difference)
+# derivatives: the space's own, or central differences
 
 def _fd_steps(points, step):
     if step is not None:
@@ -140,29 +129,12 @@ def _fd_second(fn, points, h):
     return 0.5 * (out + np.swapaxes(out, -4, -3))
 
 
-def _analytic(space):
-    return space.derivative_mode == "analytic" and space.dmetric_fn is not None
-
-
-def _dmetric(space, points):
-    """dg at points, honoring the derivative mode."""
-    if _analytic(space):
-        return space.dmetric_fn(points)
-    return _fd_first(space.metric_fn, points, _fd_steps(points, space.fd_step)[0])
-
-
-def _d2metric(space, points):
-    """d2g at points, honoring the derivative mode."""
-    if _analytic(space):
-        return space.d2metric_fn(points)
-    return _fd_second(space.metric_fn, points, _fd_steps(points, space.fd_step)[1])
-
-
-def _dk(space, points):
-    """dk at points (k must not be identically 0), honoring the derivative mode."""
-    if _analytic(space) and space.dk_fn is not None:
-        return space.dk_fn(points)
-    return _fd_first(space.k_fn, points, _fd_steps(points, space.fd_step)[0])
+def _derivative(space, own, fn, points, order=1):
+    """own(points) when the space supplies this derivative, else central differences of fn."""
+    if own is not None:
+        return own(points)
+    h1, h2 = _fd_steps(points, space.fd_step)
+    return _fd_first(fn, points, h1) if order == 1 else _fd_second(fn, points, h2)
 
 
 # T_dbc = d_b g_dc + d_c g_db - d_d g_bc as a constant map from dg[x, y, z] to T[d, b, c]
@@ -193,7 +165,7 @@ def christoffels_at(space, points):
     """
     points = np.asarray(points, dtype=float)
     g, ginv = space._metric_and_inverse(points)
-    dg = _dmetric(space, points)
+    dg = _derivative(space, space.dmetric_fn, space.metric_fn, points)
     return _christoffels(ginv, dg), g, ginv, dg
 
 
@@ -247,7 +219,7 @@ class CurvatureData:
 def curvature_at(space, points):
     points = np.asarray(points, dtype=float)
     gamma, g, ginv, dg = christoffels_at(space, points)
-    d2g = _d2metric(space, points)
+    d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
     # dGamma[..., c, a, d, b] = d_c Gamma^a_db
     dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
     dgamma = 0.5 * (np.einsum("...cae,...edb->...cadb", dginv, _first_kind(dg))
@@ -285,6 +257,11 @@ class AmbientFields:
     jnorm: np.ndarray      # |J|_g
     ksq: np.ndarray        # |k|^2_g
 
+    @property
+    def dec_margin(self):
+        """mu - |J|, which the dominant energy condition keeps >= 0."""
+        return self.mu - self.jnorm
+
 
 def ambient_fields_at(space, points):
     """Ric, Sc, nabla k, mu, J and |k|^2 at chart points."""
@@ -300,14 +277,15 @@ def _fields(space, points, ginv, dg, k):
     data every k-term is an exact 0 and is not computed.
     """
     gamma = _christoffels(ginv, dg)
-    ricci = _ricci(ginv, gamma, dg, _d2metric(space, points))
+    ricci = _ricci(ginv, gamma, dg,
+                   _derivative(space, space.d2metric_fn, space.metric_fn, points, 2))
     scalar = _scalar(ginv, ricci)
     if space.time_symmetric:
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
         return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=np.zeros(dg.shape),
                              mu=0.5 * (scalar + 0.0), J=np.zeros(scalar.shape + (3,)),
                              jnorm=np.zeros(scalar.shape), ksq=np.zeros(scalar.shape))
-    nk = _nabla_k(gamma, k, _dk(space, points))
+    nk = _nabla_k(gamma, k, _derivative(space, space.dk_fn, space.k_fn, points))
     kmix = ginv @ k                          # k^a_b
     trk = np.trace(kmix, axis1=-2, axis2=-1)
     ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
@@ -319,17 +297,9 @@ def _fields(space, points, ginv, dg, k):
                          mu=0.5 * (scalar + trk ** 2 - ksq), J=J, jnorm=jnorm, ksq=ksq)
 
 
-@dataclass(frozen=True)
-class ConstraintData:
-    mu: np.ndarray
-    J: np.ndarray          # covector components J_a
-    dec_margin: np.ndarray
-
-
 def constraint_data_at(space, points):
     """Energy/momentum densities 2 mu = Sc + (tr k)^2 - |k|^2, J = div(k - (tr k) g)."""
-    f = ambient_fields_at(space, points)
-    return ConstraintData(mu=f.mu, J=f.J, dec_margin=f.mu - f.jnorm)
+    return ambient_fields_at(space, points)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +475,26 @@ def _hyperboloid(a):
     return AmbientSpace("hyperboloid", {"a": a}, metric, k_fn, dmetric, d2metric, dk_fn)
 
 
-def _hyperbolic(a):
+def _schwarzschild(m):
+    return replace(_reissner_nordstrom(m, 0.0, name="schwarzschild"), params={"m": m})
+
+
+def _scale_or_Lambda(name, key, value, Lambda, sign):
+    """A space form's length scale given as key = value, or by a Lambda of the given sign.
+
+    Neither given means 1; both given is an error.
+    """
+    if Lambda is None:
+        return 1.0 if value is None else value
+    if value is not None:
+        raise CatalogError(f"{name} takes {key} or Lambda, not both")
+    if sign * Lambda <= 0:
+        raise CatalogError(f"{name} needs Lambda {'>' if sign > 0 else '<'} 0")
+    return np.sqrt(3.0 / abs(Lambda))
+
+
+def _hyperbolic(a, Lambda):
+    a = _scale_or_Lambda("hyperbolic", "a", a, Lambda, -1.0)
     if a <= 0:
         raise CatalogError("hyperbolic needs a > 0")
     metric, dmetric, d2metric = _hyperbolic_metric_fns(a)
@@ -543,7 +532,8 @@ def _paraboloid(alpha):
                         dmetric, d2metric, dk_fn, chart_fn=chart)
 
 
-def _hemisphere(radius):
+def _hemisphere(radius, Lambda):
+    radius = _scale_or_Lambda("hemisphere", "radius", radius, Lambda, 1.0)
     if radius <= 0:
         raise CatalogError("hemisphere needs radius > 0")
     R2 = radius * radius
@@ -563,6 +553,19 @@ def _hemisphere(radius):
     return AmbientSpace("hemisphere", {"radius": radius}, metric, None, dmetric, d2metric)
 
 
+# name -> (constructor, default of each parameter); a default of None marks
+# one of two alternative parameters, absent unless given
+CATALOG = {
+    "euclidean": (_euclidean, {}),
+    "schwarzschild": (_schwarzschild, {"m": 1.0}),
+    "reissner_nordstrom": (_reissner_nordstrom, {"m": 1.0, "q": 0.0}),
+    "hyperboloid": (_hyperboloid, {"a": 1.0}),
+    "hyperbolic": (_hyperbolic, {"a": None, "Lambda": None}),
+    "paraboloid": (_paraboloid, {"alpha": 0.5}),
+    "hemisphere": (_hemisphere, {"radius": None, "Lambda": None}),
+}
+
+
 def catalog(name, **params):
     """Construct a catalog AmbientSpace by name.
 
@@ -570,53 +573,25 @@ def catalog(name, **params):
     hyperboloid(a), paraboloid(alpha), hyperbolic(a | Lambda),
     hemisphere(radius | Lambda).
     """
-    try:
-        if name == "euclidean":
-            _reject_extra(params, ())
-            return _euclidean()
-        if name == "schwarzschild":
-            _reject_extra(params, ("m",))
-            return replace(_reissner_nordstrom(float(params.get("m", 1.0)), 0.0,
-                                               name="schwarzschild"),
-                           params={"m": float(params.get("m", 1.0))})
-        if name == "reissner_nordstrom":
-            _reject_extra(params, ("m", "q"))
-            return _reissner_nordstrom(float(params.get("m", 1.0)), float(params.get("q", 0.0)))
-        if name == "hyperboloid":
-            _reject_extra(params, ("a",))
-            return _hyperboloid(float(params.get("a", 1.0)))
-        if name == "hyperbolic":
-            _reject_extra(params, ("a", "Lambda"))
-            if "Lambda" in params:
-                lam = float(params["Lambda"])
-                if lam >= 0:
-                    raise CatalogError("hyperbolic needs Lambda < 0")
-                return _hyperbolic(np.sqrt(-3.0 / lam))
-            return _hyperbolic(float(params.get("a", 1.0)))
-        if name == "paraboloid":
-            _reject_extra(params, ("alpha",))
-            return _paraboloid(float(params.get("alpha", 0.5)))
-        if name == "hemisphere":
-            _reject_extra(params, ("radius", "Lambda"))
-            if "Lambda" in params:
-                lam = float(params["Lambda"])
-                if lam <= 0:
-                    raise CatalogError("hemisphere needs Lambda > 0")
-                return _hemisphere(np.sqrt(3.0 / lam))
-            return _hemisphere(float(params.get("radius", 1.0)))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, CatalogError):
-            raise
-        raise CatalogError(f"invalid parameters for catalog entry '{name}': {exc}") from exc
-    raise CatalogError(f"unknown catalog entry '{name}'")
+    return _lookup(CATALOG, "catalog entry", name, params)
 
 
-def _reject_extra(params, allowed):
-    extra = set(params) - set(allowed)
+def _lookup(table, kind, name, params):
+    """table[name]'s constructor called with its defaults, overridden by params.
+
+    Each given value is converted to its default's type (float where the
+    default is None).  An unknown name or key and a value that does not
+    convert are CatalogErrors.
+    """
+    if not isinstance(name, str) or name not in table:
+        raise CatalogError(f"unknown {kind} '{name}'")
+    build, defaults = table[name]
+    extra = set(params) - set(defaults)
     if extra:
         raise CatalogError(f"unexpected parameter(s): {sorted(extra)}")
-
-
-def attach_efield(space, efield_fn):
-    """Attach an electric vector field to an existing space."""
-    return replace(space, efield_fn=efield_fn)
+    try:
+        given = {k: (float if defaults[k] is None else type(defaults[k]))(v)
+                 for k, v in params.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CatalogError(f"invalid parameters for {kind} '{name}': {exc}") from exc
+    return build(**dict(defaults, **given))

@@ -40,14 +40,14 @@ class FlowConfig:
     """What a flow solves (mode, target_area) and when it stops."""
 
     mode: str = "willmore"            # or "hawking"
-    target_area: float = FOUR_PI
+    target_area: float = None         # None means the initial mesh's area
     max_steps: int = 5000
     residual_tol: float = 1e-5
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.target_area <= 0 or self.residual_tol <= 0:
+        if (self.target_area is not None and self.target_area <= 0) or self.residual_tol <= 0:
             raise ValueError("target_area and residual_tol must be positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
@@ -65,7 +65,7 @@ class FlowRecord:
 @dataclass
 class FlowState:
     mesh: SurfaceMesh
-    status: str                       # converged | max_steps | stagnated
+    status: str                       # converged | max_steps | stagnated | failed
     step_index: int
     functional: float
     area: float
@@ -91,10 +91,11 @@ def _rescale_to_area(space, stage, target):
 def run_flow(space, config, initial_mesh):
     grid = initial_mesh.grid
     stage = sf._area_stage(space, initial_mesh)
-    if abs(stage.area - config.target_area) > 0.5 * config.target_area:
+    target = stage.area if config.target_area is None else config.target_area
+    if abs(stage.area - target) > 0.5 * target:
         raise ValueError("initial area differs from target_area by more than 50%")
     try:
-        geom = _rescale_to_area(space, stage, config.target_area)
+        geom = _rescale_to_area(space, stage, target)
     except (ChartDomainError, GeometryError, NumericError) as exc:
         state = FlowState(initial_mesh, "failed", 0,
                           hawking_functional(sf.induced_geometry(space, stage)),
@@ -105,7 +106,7 @@ def run_flow(space, config, initial_mesh):
     transform = HarmonicTransform(grid)
     ell = np.arange(transform.lmax + 1, dtype=float)
     damping = 1.0 / (1.0 + SMOOTHING_TAU * (ell * (ell + 1.0)) ** 2)
-    rbar4 = (config.target_area / FOUR_PI) ** 2
+    rbar4 = (target / FOUR_PI) ** 2
     dt = INITIAL_STEP * rbar4
     dt_max = 16.0 * INITIAL_STEP * rbar4
 
@@ -145,7 +146,7 @@ def run_flow(space, config, initial_mesh):
                 continue
             try:
                 trial = sf._area_stage(space, SurfaceMesh(grid, new_radius, geom.mesh.center))
-                trial_geom = _rescale_to_area(space, trial, config.target_area)
+                trial_geom = _rescale_to_area(space, trial, target)
                 trial_functional = hawking_functional(trial_geom)
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= BACKTRACK_FACTOR

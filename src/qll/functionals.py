@@ -173,7 +173,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0):
         hawking_functional=hf,
         hawking_energy=float(energy),
         gauss_bonnet_defect=float(gb),
-        dec_min=float(np.min(fields.mu - fields.jnorm)),
+        dec_min=float(np.min(fields.dec_margin)),
     )
     if space.efield_fn is not None:
         Q, eq, conv = charged_hawking_energy(geom)

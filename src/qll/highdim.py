@@ -14,7 +14,7 @@ from math import gamma as gamma_fn
 import numpy as np
 
 from . import surface as sf
-from .ambient import _reject_extra, catalog
+from .ambient import _lookup, catalog
 from .errors import CatalogError, GeometryError, HypothesisError
 from .functionals import hawking_energy
 from .grids import SphereGrid
@@ -124,24 +124,18 @@ def paraboloid_model(alpha, n=3):
                        r_max=1.0 / alpha, catalog_params={"alpha": alpha})
 
 
-# name -> (constructor, default of each parameter besides n)
+# name -> (constructor, default of each parameter)
 RADIAL_CATALOG = {
-    "euclidean": (euclidean_model, {}),
-    "schwarzschild": (schwarzschild_model, {"m": 1.0}),
-    "hyperboloid": (hyperboloid_model, {"a": 1.0}),
-    "paraboloid": (paraboloid_model, {"alpha": 0.5}),
+    "euclidean": (euclidean_model, {"n": 3}),
+    "schwarzschild": (schwarzschild_model, {"n": 3, "m": 1.0}),
+    "hyperboloid": (hyperboloid_model, {"n": 3, "a": 1.0}),
+    "paraboloid": (paraboloid_model, {"n": 3, "alpha": 0.5}),
 }
 
 
-def radial_model(name, n=3, **params):
-    if name not in RADIAL_CATALOG:
-        raise CatalogError(f"unknown radial model '{name}'")
-    build, defaults = RADIAL_CATALOG[name]
-    _reject_extra(params, defaults)
-    try:
-        return build(n=int(n), **{k: float(params.get(k, v)) for k, v in defaults.items()})
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"invalid parameters for radial model '{name}': {exc}") from exc
+def radial_model(name, **params):
+    """Construct a RadialModel by name; n is the dimension (default 3)."""
+    return _lookup(RADIAL_CATALOG, "radial model", name, params)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import _christoffels, _dmetric, _fields
+from .ambient import _christoffels, _derivative, _fields
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid
@@ -207,7 +207,7 @@ def _completed(space, stage):
     X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
 
     # g^{-1} is the area stage's, already checked; g is not evaluated again
-    dg = _dmetric(space, X)
+    dg = _derivative(space, space.dmetric_fn, space.metric_fn, X)
     gamma = _christoffels(ginv, dg)
     batch = X.shape[:-1]
 

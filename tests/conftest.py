@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,12 @@ def hyperboloid():
 @pytest.fixture(scope="session")
 def paraboloid():
     return catalog("paraboloid", alpha=0.5)
+
+
+def fd_space(space, step=None):
+    """space without its own derivatives, so dg, d2g and dk are central differences."""
+    return dataclasses.replace(space, dmetric_fn=None, d2metric_fn=None, dk_fn=None,
+                               fd_step=step)
 
 
 def random_points(rng, n, rmin=0.5, rmax=3.0):

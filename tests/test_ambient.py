@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points
-from qll.ambient import (catalog, christoffels_at, constraint_data_at,
-                         curvature_at, nabla_k_at)
+from conftest import fd_space, random_points
+from qll.ambient import (CATALOG, ambient_fields_at, catalog, christoffels_at,
+                         constraint_data_at, curvature_at, nabla_k_at)
 from qll.errors import CatalogError, ChartDomainError, GeometryError
 
 
@@ -70,7 +72,7 @@ def test_ricci_is_riemann_contraction(name, fd):
     params, shell = CATALOG_SHELLS[name]
     space = catalog(name, **params)
     if fd:
-        space = space.with_derivative_mode("fd")
+        space = fd_space(space)
     pts = random_points(np.random.default_rng(2), 8, *shell)
     cv = curvature_at(space, pts)
     ric = np.einsum("...ab,...acbd->...cd", cv.inv_metric, cv.riemann)
@@ -186,6 +188,36 @@ def test_catalog_errors():
         catalog("schwarzschild", m=-2.0)
     with pytest.raises(CatalogError):
         catalog("euclidean", typo=1)
+    for name in ([], None, 3):
+        with pytest.raises(CatalogError, match="unknown"):
+            catalog(name)
+    for value in ("x", [], None):
+        with pytest.raises(CatalogError, match="invalid parameters"):
+            catalog("hyperboloid", a=value)
+
+
+def test_catalog_scale_or_Lambda():
+    assert catalog("hyperbolic", Lambda=-3.0).params == {"a": 1.0}
+    assert catalog("hemisphere", Lambda=0.75).params == {"radius": 2.0}
+    assert catalog("hyperbolic").params == {"a": 1.0}
+    with pytest.raises(CatalogError, match="Lambda < 0"):
+        catalog("hyperbolic", Lambda=3.0)
+    with pytest.raises(CatalogError, match="Lambda > 0"):
+        catalog("hemisphere", Lambda=0.0)
+    # Lambda replaces the scale; both together are an error, not a dropped value
+    with pytest.raises(CatalogError, match="not both"):
+        catalog("hyperbolic", a=2.0, Lambda=-3.0)
+    with pytest.raises(CatalogError, match="not both"):
+        catalog("hemisphere", radius=5.0, Lambda=3.0)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_entries_supply_their_derivatives(name):
+    # a missing function would move the space to central differences without
+    # any error, and central-difference d2g costs 36 metric evaluations per point
+    space = catalog(name)
+    assert space.dmetric_fn is not None and space.d2metric_fn is not None
+    assert space.k_fn is None or space.dk_fn is not None
 
 
 def test_reissner_nordstrom_field_strength():
@@ -254,7 +286,7 @@ def test_contracted_bianchi(name, params, point):
 ])
 def test_fd_matches_analytic_at_1e4(name, params, point):
     space = catalog(name, **params)
-    fd = space.with_derivative_mode("fd", 1e-4)
+    fd = fd_space(space, 1e-4)
     p = np.asarray(point)[None]
     cva = curvature_at(space, p)
     cvf = curvature_at(fd, p)
@@ -267,20 +299,33 @@ def test_fd_second_order_convergence(hyperboloid):
     exact = curvature_at(hyperboloid, p).ricci
     errs = []
     for h in (2e-3, 1e-3):
-        fd = hyperboloid.with_derivative_mode("fd", h)
+        fd = fd_space(hyperboloid, h)
         errs.append(np.max(np.abs(curvature_at(fd, p).ricci - exact)))
     assert errs[1] < errs[0] / 3.0  # O(h^2): ideally factor 4
 
 
 def test_fd_mode_without_analytic_derivatives():
-    # a space built from a bare metric callable works in fd mode
+    # a space built from a bare metric callable differentiates it by central differences
     from qll.ambient import AmbientSpace
     base = catalog("hyperboloid", a=1.0)
-    bare = AmbientSpace("bare", {}, base.metric_fn, base.k_fn, derivative_mode="fd")
+    bare = AmbientSpace("bare", {}, base.metric_fn, base.k_fn)
     p = np.array([[0.6, 0.3, -0.2]])
     cv = curvature_at(bare, p)
     ref = curvature_at(base, p)
     assert np.max(np.abs(cv.ricci - ref.ricci)) < 1e-7
+
+
+def test_missing_second_derivatives_are_differenced():
+    # dg is the space's own function and d2g comes from central differences;
+    # the tolerance is test_fd_matches_analytic_at_1e4's
+    analytic = catalog("schwarzschild")
+    space = dataclasses.replace(analytic, d2metric_fn=None)
+    pts = random_points(np.random.default_rng(11), 12, 2.5, 6.0)
+    got, ref = ambient_fields_at(space, pts), ambient_fields_at(analytic, pts)
+    for name in ("ricci", "scalar", "mu", "dec_margin"):
+        exact = getattr(ref, name)
+        scale = np.max(np.abs(exact)) + 1.0
+        assert np.max(np.abs(getattr(got, name) - exact)) / scale < 1e-5
 
 
 @settings(max_examples=15, deadline=None)
@@ -310,4 +355,4 @@ def test_non_spd_metric_rejected():
             with pytest.raises(GeometryError, match="not positive definite"):
                 space.metric(pts)
             with pytest.raises(GeometryError, match="not positive definite"):
-                christoffels_at(space.with_derivative_mode("fd"), pts)
+                christoffels_at(space, pts)

@@ -214,7 +214,7 @@ def test_grid_override_flag(tmp_path):
     assert rep["grid_resolution"] == [24, 48]
 
 
-def test_exit_code_hypothesis_violation(tmp_path):
+def test_exit_code_hypothesis_violation(tmp_path, capsys):
     # H changes sign past the equator of the 3-sphere, so an explicit f
     # request must exit with status 2
     cfg = write_config(tmp_path / "run.json", {
@@ -225,6 +225,34 @@ def test_exit_code_hypothesis_violation(tmp_path):
         "output": {"dir": str(tmp_path)},
     })
     assert main(["eval", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "hypothesis violation: f requires positive mean curvature at every node\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_hypothesis_computes_f_integrals_once(tmp_path, monkeypatch):
+    import qll.cli
+    import qll.functionals
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qll.cli, "f_integrals", counted(qll.cli.f_integrals))
+    monkeypatch.setattr(qll.functionals, "f_integrals", counted(qll.functionals.f_integrals))
+    cfg = write_config(tmp_path / "run.json", {
+        "space": {"name": "paraboloid", "params": {"alpha": 0.5}},
+        "surface": {"sphere_r": 1.0},
+        "hypothesis": {"beta": 0.25},
+        "grid": [24, 48],
+        "output": {"dir": str(tmp_path)},
+    })
+    assert main(["eval", "--config", cfg]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["f_integral"] is not None
 
 
 VALID_RUN = {"space": {"name": "euclidean"}, "surface": {"sphere_r": 1.0}, "grid": [16, 32]}
@@ -277,6 +305,8 @@ def broken_sweep(**fields):
     lambda: broken_flow(residual_tl=1e-5),
     lambda: ("varcheck", json.dumps(dict(VALID_RUN, varcheck={"lapse": {"l": 2, "ell": 3}})),
              "varcheck.lapse.ell"),
+    # a space form is given by its scale or by Lambda, not both
+    lambda: broken("eval", space={"name": "hyperbolic", "params": {"a": 2.0, "Lambda": -3.0}}),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

@@ -55,6 +55,16 @@ def test_flow_config_validation():
     flow.FlowConfig(max_steps=0)
 
 
+def test_default_target_area_is_the_initial_area(grid24, euclidean):
+    mesh = sf.round_sphere_with_harmonics(grid24, 1.3, [(2, 0, 0.05)])
+    area = sf.induced_geometry(euclidean, mesh).area
+    assert abs(area - 4.0 * np.pi) > 1.0
+    state = flow.run_flow(euclidean, flow.FlowConfig(max_steps=3), mesh)
+    assert state.history[0].area == area
+    assert state.step_index > 0
+    assert abs(state.area - area) <= 1e-8 * area
+
+
 def test_flow_rejects_far_initial_area(grid32, euclidean):
     with pytest.raises(ValueError):
         flow.run_flow(euclidean, willmore_config(target_area=400.0),

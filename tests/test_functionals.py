@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qll import functionals as fn
 from qll import surface as sf
-from qll.ambient import attach_efield, catalog
+from qll.ambient import catalog
 from qll.errors import ConfigError, EmbeddingError, HypothesisError
 from qll.grids import SphereGrid
 
@@ -69,7 +70,7 @@ def test_zero_field_charge(grid32, euclidean, schwarzschild):
     # every energy shares one mass formula, so a zero charge term is exact
     for base, mesh in ((euclidean, sf.coordinate_sphere(grid32, 1.0)),
                        (schwarzschild, off_centre_mesh(grid32, 4.0))):
-        space = attach_efield(base, lambda pts: np.zeros_like(pts))
+        space = dataclasses.replace(base, efield_fn=lambda pts: np.zeros_like(pts))
         geom = sf.induced_geometry(space, mesh)
         Q, eq, _ = fn.charged_hawking_energy(geom)
         assert Q == 0.0

@@ -113,6 +113,8 @@ def test_domain_checks():
     with pytest.raises(CatalogError):
         hd.radial_model("torus")
     with pytest.raises(CatalogError):
+        hd.radial_model([])
+    with pytest.raises(CatalogError):
         hd.euclidean_model(2)
     with pytest.raises(CatalogError):  # k without its analytic derivatives
         dataclasses.replace(hd.hyperboloid_model(1.0), dk_tan=None)

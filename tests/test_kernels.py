@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qll.ambient as amb
+from conftest import fd_space
 from qll import surface as sf
 from qll.ambient import _spd_inverse, catalog, christoffels_at
 from qll.grids import SphereGrid
@@ -46,7 +47,7 @@ def grid():
 
 def _space(name, params, mode):
     space = catalog(name, **params)
-    return space.with_derivative_mode("fd") if mode == "fd" else space
+    return fd_space(space) if mode == "fd" else space
 
 
 def _mesh(grid, r0):

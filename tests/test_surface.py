@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fd_space
 from qll import surface as sf
 from qll.ambient import catalog, constraint_data_at, curvature_at, nabla_k_at
 from qll.criticality import residual_report
@@ -183,7 +184,7 @@ def assert_close(got, ref):
 def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
     space = catalog(name, **params)
     if fd:
-        space = space.with_derivative_mode("fd")
+        space = fd_space(space)
     geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, r, [(2, 1, 0.03)]))
     fields = sf.ambient_fields(space, geom)
     assert fields is geom.ambient

@@ -3,7 +3,9 @@
 An AmbientSpace evaluates the metric g, the symmetric 2-tensor k, their
 coordinate derivatives (analytic closed forms for catalog entries, central
 finite differences otherwise), curvature, covariant derivatives of k, and
-the constraint densities mu, J at arbitrary chart points.
+the constraint densities mu, J at arbitrary chart points.  Catalog entries
+also supply their Ricci tensor in closed form; for any other space Ric is
+contracted from d2g and the Christoffel symbols.
 
 All evaluators are vectorized over a leading batch of chart points: inputs
 of shape (..., 3) give tensors of shape (..., 3, 3) etc.  Derivative index
@@ -29,6 +31,7 @@ class AmbientSpace:
     dmetric_fn: object = None
     d2metric_fn: object = None
     dk_fn: object = None
+    ricci_fn: object = None        # R_ab in closed form; None means computed from d2g
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
     fd_step: float = None          # None means the eps^(1/3) / eps^(1/4) step rules
@@ -95,22 +98,25 @@ def _spd_inverse(g, name):
 # derivatives: the space's own, or central differences
 
 def _fd_steps(points, step):
+    """First- and second-derivative steps: step itself, or one pair per point.
+
+    Per point, the optimal central-difference steps (truncation vs roundoff)
+    scale with max(1, |x|), so a point's differences do not depend on the
+    other points of the batch.
+    """
     if step is not None:
-        h1 = h2 = float(step)
-        return h1, h2
-    scale = np.maximum(1.0, np.linalg.norm(points, axis=-1))
-    # optimal central-difference steps: truncation vs roundoff
-    h1 = float(np.max(scale)) * _EPS ** (1.0 / 3.0)
-    h2 = float(np.max(scale)) * _EPS ** 0.25
-    return h1, h2
+        return float(step), float(step)
+    scale = np.maximum(1.0, np.linalg.norm(points, axis=-1))[..., None]
+    return scale * _EPS ** (1.0 / 3.0), scale * _EPS ** 0.25
 
 
 def _fd_first(fn, points, h):
+    """d_c fn by central differences with a step h from _fd_steps."""
     out = None
     for c in range(3):
         e = np.zeros(3)
-        e[c] = h
-        d = (fn(points + e) - fn(points - e)) / (2.0 * h)
+        e[c] = 1.0
+        d = _over_2h(fn(points + h * e) - fn(points - h * e), h, points)
         if out is None:
             out = np.zeros(points.shape[:-1] + (3,) + d.shape[len(points.shape) - 1:])
         out[..., c, :, :] = d
@@ -121,12 +127,18 @@ def _fd_second(fn, points, h):
     out = np.zeros(points.shape[:-1] + (3, 3, 3, 3))
     for d_ in range(3):
         e = np.zeros(3)
-        e[d_] = h
-        dplus = _fd_first(fn, points + e, h)
-        dminus = _fd_first(fn, points - e, h)
-        out[..., d_, :, :] = (dplus - dminus) / (2.0 * h)
+        e[d_] = 1.0
+        dplus = _fd_first(fn, points + h * e, h)
+        dminus = _fd_first(fn, points - h * e, h)
+        out[..., d_, :, :] = _over_2h(dplus - dminus, h, points)
     # symmetrize the derivative pair
     return 0.5 * (out + np.swapaxes(out, -4, -3))
+
+
+def _over_2h(diff, h, points):
+    """diff / (2 h), a per-point h broadcast over diff's tensor indices."""
+    h = np.asarray(h)
+    return diff / (2.0 * h).reshape(h.shape[:-1] + (1,) * (diff.ndim - points.ndim + 1))
 
 
 def _derivative(space, own, fn, points, order=1):
@@ -202,6 +214,19 @@ def _ricci(ginv, gamma, dg, d2g):
     return lin.reshape(S.shape) + 0.5 * second + gs @ V
 
 
+def _ricci_of(space, points, ginv, dg, gamma=None, d2g=None):
+    """R_ab at points: the space's closed form when it supplies one, else
+    _ricci from its d2g (own or central differences); gamma and d2g are
+    computed here when not given."""
+    if space.ricci_fn is not None:
+        return space.ricci_fn(points)
+    if gamma is None:
+        gamma = _christoffels(ginv, dg)
+    if d2g is None:
+        d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
+    return _ricci(ginv, gamma, dg, d2g)
+
+
 def _scalar(ginv, ricci):
     return np.einsum("...ab,...ab->...", ginv, ricci)
 
@@ -230,7 +255,7 @@ def curvature_at(space, points):
                + np.einsum("...ace,...edb->...abcd", gamma, gamma)
                - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
     riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
-    ricci = _ricci(ginv, gamma, dg, d2g)
+    ricci = _ricci_of(space, points, ginv, dg, gamma, d2g)
     return CurvatureData(gamma, riemann, ricci, _scalar(ginv, ricci), g, ginv)
 
 
@@ -274,11 +299,11 @@ def _fields(space, points, ginv, dg, k):
     """AmbientFields from first-order data already evaluated at points.
 
     2 mu = Sc + (tr k)^2 - |k|^2 and J = div(k - (tr k) g); on time-symmetric
-    data every k-term is an exact 0 and is not computed.
+    data every k-term is an exact 0 and is not computed.  Gamma is formed
+    only for nabla k and for a Ricci tensor the space does not supply.
     """
-    gamma = _christoffels(ginv, dg)
-    ricci = _ricci(ginv, gamma, dg,
-                   _derivative(space, space.d2metric_fn, space.metric_fn, points, 2))
+    gamma = None if space.time_symmetric else _christoffels(ginv, dg)
+    ricci = _ricci_of(space, points, ginv, dg, gamma)
     scalar = _scalar(ginv, ricci)
     if space.time_symmetric:
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
@@ -310,7 +335,9 @@ def constraint_data_at(space, points):
 #      phi(r) dr^2 + r^2 dOmega^2 with phi = 1 + psi r^2 in polar form;
 #   B. conformally flat metrics g_ab = C(r) delta_ab.
 # Derivatives use the smooth ratios u1 = psi'/r, u2 = u1'/r (resp. w1 = C'/r,
-# w2 = w1'/r) so nothing divides by r where r = 0 is in the chart.
+# w2 = w1'/r) so nothing divides by r where r = 0 is in the chart.  Each
+# family builder returns the AmbientSpace fields metric_fn, dmetric_fn,
+# d2metric_fn and ricci_fn; Ric of both forms is a delta_ab + b x_a x_b.
 
 
 def _outer_xx(points):
@@ -365,7 +392,17 @@ def _areal_fns(psi, u1, u2):
                                psi(r)[..., None]], axis=-1)
         return (coef @ _D2_MAP).reshape(batch + (3, 3, 3, 3))
 
-    return metric, dmetric, d2metric
+    def ricci(points):
+        # R_ab = alpha delta_ab + beta x_a x_b with phi = 1 + psi r^2
+        r = np.linalg.norm(points, axis=-1)
+        p, v, r2 = psi(r), u1(r), r * r
+        phi = 1.0 + p * r2
+        half = 0.5 / phi ** 2
+        alpha = p / phi + (v * r2 + 2.0 * p) * half
+        beta = (v + 2.0 * p * v * r2 + 2.0 * p * p) * half
+        return alpha[..., None, None] * eye + beta[..., None, None] * _outer_xx(points)
+
+    return dict(metric_fn=metric, dmetric_fn=dmetric, d2metric_fn=d2metric, ricci_fn=ricci)
 
 
 def _conformal_fns(C, w1, w2):
@@ -385,13 +422,22 @@ def _conformal_fns(C, w1, w2):
         core = w2(r)[..., None, None] * xx + w1(r)[..., None, None] * eye
         return np.einsum("...cd,ab->...cdab", core, eye)
 
-    return metric, dmetric, d2metric
+    def ricci(points):
+        # R_ab = -(4 s + (t + s^2) r^2) delta_ab - (t - s^2) x_a x_b
+        # with s = w1 / (2 C) and t = (w2 C - w1^2) / (2 C^2)
+        r = np.linalg.norm(points, axis=-1)
+        c, v = C(r), w1(r)
+        s = 0.5 * v / c
+        t = 0.5 * (w2(r) * c - v * v) / (c * c)
+        alpha = -(4.0 * s + (t + s * s) * r * r)
+        return alpha[..., None, None] * eye - (t - s * s)[..., None, None] * _outer_xx(points)
+
+    return dict(metric_fn=metric, dmetric_fn=dmetric, d2metric_fn=d2metric, ricci_fn=ricci)
 
 
 def _euclidean():
     zero = lambda r: np.zeros_like(r)
-    metric, dmetric, d2metric = _areal_fns(zero, zero, zero)
-    return AmbientSpace("euclidean", {}, metric, None, dmetric, d2metric)
+    return AmbientSpace("euclidean", {}, **_areal_fns(zero, zero, zero))
 
 
 def _reissner_nordstrom(m, q, name="reissner_nordstrom"):
@@ -436,16 +482,14 @@ def _reissner_nordstrom(m, q, name="reissner_nordstrom"):
         r = np.linalg.norm(points, axis=-1)
         return r > r_plus * (1.0 + 1e-12) if r_plus > 0 else r > 0
 
-    metric, dmetric, d2metric = _areal_fns(psi, u1, u2)
-
     def efield(points):
         r = np.linalg.norm(points, axis=-1)
         phi = 1.0 + psi(r) * r ** 2
         coef = q / (r ** 3 * np.sqrt(phi))
         return coef[..., None] * points
 
-    return AmbientSpace(name, {"m": m, "q": q}, metric, None, dmetric, d2metric,
-                        chart_fn=chart, efield_fn=efield if q != 0.0 else None)
+    return AmbientSpace(name, {"m": m, "q": q}, chart_fn=chart,
+                        efield_fn=efield if q != 0.0 else None, **_areal_fns(psi, u1, u2))
 
 
 def _hyperbolic_metric_fns(a):
@@ -464,15 +508,15 @@ def _hyperbolic_metric_fns(a):
 def _hyperboloid(a):
     if a <= 0:
         raise CatalogError("hyperboloid needs a > 0")
-    metric, dmetric, d2metric = _hyperbolic_metric_fns(a)
+    fns = _hyperbolic_metric_fns(a)
 
     def k_fn(points):
-        return metric(points) / a
+        return fns["metric_fn"](points) / a
 
     def dk_fn(points):
-        return dmetric(points) / a
+        return fns["dmetric_fn"](points) / a
 
-    return AmbientSpace("hyperboloid", {"a": a}, metric, k_fn, dmetric, d2metric, dk_fn)
+    return AmbientSpace("hyperboloid", {"a": a}, k_fn=k_fn, dk_fn=dk_fn, **fns)
 
 
 def _schwarzschild(m):
@@ -497,8 +541,7 @@ def _hyperbolic(a, Lambda):
     a = _scale_or_Lambda("hyperbolic", "a", a, Lambda, -1.0)
     if a <= 0:
         raise CatalogError("hyperbolic needs a > 0")
-    metric, dmetric, d2metric = _hyperbolic_metric_fns(a)
-    return AmbientSpace("hyperbolic", {"a": a}, metric, None, dmetric, d2metric)
+    return AmbientSpace("hyperbolic", {"a": a}, **_hyperbolic_metric_fns(a))
 
 
 def _paraboloid(alpha):
@@ -510,7 +553,6 @@ def _paraboloid(alpha):
         return np.full_like(np.asarray(r, dtype=float), -a2)
 
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    metric, dmetric, d2metric = _areal_fns(psi, zero, zero)
 
     def kappa(r):
         return alpha / np.sqrt(1.0 - a2 * r * r)
@@ -528,8 +570,8 @@ def _paraboloid(alpha):
         r = np.linalg.norm(points, axis=-1)
         return r < (1.0 / alpha) * (1.0 - 1e-12)
 
-    return AmbientSpace("paraboloid", {"alpha": alpha}, metric, k_fn,
-                        dmetric, d2metric, dk_fn, chart_fn=chart)
+    return AmbientSpace("paraboloid", {"alpha": alpha}, k_fn=k_fn, dk_fn=dk_fn, chart_fn=chart,
+                        **_areal_fns(psi, zero, zero))
 
 
 def _hemisphere(radius, Lambda):
@@ -549,8 +591,7 @@ def _hemisphere(radius, Lambda):
     def w2(r):
         return 1.5 / (R2 * R2 * (1.0 + r * r / (4.0 * R2)) ** 4)
 
-    metric, dmetric, d2metric = _conformal_fns(C, w1, w2)
-    return AmbientSpace("hemisphere", {"radius": radius}, metric, None, dmetric, d2metric)
+    return AmbientSpace("hemisphere", {"radius": radius}, **_conformal_fns(C, w1, w2))
 
 
 # name -> (constructor, default of each parameter); a default of None marks
@@ -580,8 +621,8 @@ def _lookup(table, kind, name, params):
     """table[name]'s constructor called with its defaults, overridden by params.
 
     Each given value is converted to its default's type (float where the
-    default is None).  An unknown name or key and a value that does not
-    convert are CatalogErrors.
+    default is None).  An unknown name or key, a value that does not convert
+    and a non-finite value are CatalogErrors.
     """
     if not isinstance(name, str) or name not in table:
         raise CatalogError(f"unknown {kind} '{name}'")
@@ -594,4 +635,7 @@ def _lookup(table, kind, name, params):
                  for k, v in params.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise CatalogError(f"invalid parameters for {kind} '{name}': {exc}") from exc
+    for k, v in given.items():
+        if not np.isfinite(v):
+            raise CatalogError(f"parameter '{k}' of {kind} '{name}' must be finite, got {v}")
     return build(**dict(defaults, **given))

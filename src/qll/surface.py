@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import _christoffels, _derivative, _fields
+from .ambient import _derivative, _fields, _first_kind
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid
@@ -208,7 +208,6 @@ def _completed(space, stage):
 
     # g^{-1} is the area stage's, already checked; g is not evaluated again
     dg = _derivative(space, space.dmetric_fn, space.metric_fn, X)
-    gamma = _christoffels(ginv, dg)
     batch = X.shape[:-1]
 
     g2 = _sym2(g_tt, g_tp, g_pp)
@@ -226,8 +225,10 @@ def _completed(space, stage):
     nu_cov = (g @ nu[..., None])[..., 0]
 
     # B_ij = -nu_a (X_ij^a + Gamma^a_bc e_i^b e_j^c); the Gamma part is the
-    # bilinear form W_bc = nu_a Gamma^a_bc on the tangent frame
-    W = (nu_cov[..., None, :] @ gamma.reshape(batch + (3, 9))).reshape(batch + (3, 3))
+    # bilinear form W_bc = nu_a Gamma^a_bc = nu^d T_dbc / 2 on the tangent
+    # frame, formed from dg without Gamma
+    T = _first_kind(dg).reshape(batch + (3, 9))
+    W = ((0.5 * nu)[..., None, :] @ T).reshape(batch + (3, 3))
     WE = W @ E
     B_tt = -(_dot(nu_cov, X_tt) + _dot(e_t, WE[..., 0]))
     B_tp = -(_dot(nu_cov, X_tp) + _dot(e_t, WE[..., 1]))

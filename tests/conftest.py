@@ -43,9 +43,10 @@ def paraboloid():
 
 
 def fd_space(space, step=None):
-    """space without its own derivatives, so dg, d2g and dk are central differences."""
+    """space without its own derivatives or Ricci tensor, so dg, d2g and dk are
+    central differences and Ric is contracted from them."""
     return dataclasses.replace(space, dmetric_fn=None, d2metric_fn=None, dk_fn=None,
-                               fd_step=step)
+                               ricci_fn=None, fd_step=step)
 
 
 def random_points(rng, n, rmin=0.5, rmax=3.0):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qll.ambient as amb
 from conftest import fd_space, random_points
 from qll.ambient import (CATALOG, ambient_fields_at, catalog, christoffels_at,
                          constraint_data_at, curvature_at, nabla_k_at)
@@ -54,26 +55,37 @@ def test_riemann_symmetries(paraboloid):
     assert np.max(np.abs(bianchi)) < 1e-12
 
 
+# name -> (params, shell of random points, whether the chart contains r = 0)
 CATALOG_SHELLS = {
-    "euclidean": ({}, (0.5, 3.0)),
-    "schwarzschild": ({"m": 1.0}, (2.5, 6.0)),
-    "reissner_nordstrom": ({"m": 1.0, "q": 0.5}, (2.2, 6.0)),
-    "hyperboloid": ({"a": 1.0}, (0.5, 3.0)),
-    "paraboloid": ({"alpha": 0.5}, (0.3, 1.8)),
-    "hyperbolic": ({"a": 1.0}, (0.5, 3.0)),
-    "hemisphere": ({"radius": 1.0}, (0.5, 3.0)),
+    "euclidean": ({}, (0.5, 3.0), True),
+    "schwarzschild": ({"m": 1.0}, (2.5, 6.0), False),
+    "reissner_nordstrom": ({"m": 1.0, "q": 0.5}, (2.2, 6.0), False),
+    "hyperboloid": ({"a": 1.0}, (0.5, 3.0), True),
+    "paraboloid": ({"alpha": 0.5}, (0.3, 1.8), True),
+    "hyperbolic": ({"a": 1.0}, (0.5, 3.0), True),
+    "hemisphere": ({"radius": 1.0}, (0.5, 3.0), True),
 }
 
 
-@pytest.mark.parametrize("name,fd", [(n, False) for n in CATALOG_SHELLS] + [("hyperboloid", True)],
-                         ids=list(CATALOG_SHELLS) + ["fd-hyperboloid"])
-def test_ricci_is_riemann_contraction(name, fd):
-    # .ricci comes from the Ricci-only kernel, .riemann from the full formula
-    params, shell = CATALOG_SHELLS[name]
+@pytest.mark.parametrize("name,ricci", [(n, "closed") for n in CATALOG_SHELLS]
+                         + [("hyperboloid", "fd"), ("schwarzschild", "d2g"),
+                            ("hemisphere", "d2g")],
+                         ids=list(CATALOG_SHELLS) + ["fd-hyperboloid", "d2g-schwarzschild",
+                                                     "d2g-hemisphere"])
+def test_ricci_is_riemann_contraction(name, ricci):
+    # .ricci is the space's closed form, or the Ricci-only kernel on the
+    # space's own d2g ("d2g") or on central differences ("fd"); .riemann
+    # always comes from the full formula
+    params, shell, has_origin = CATALOG_SHELLS[name]
     space = catalog(name, **params)
-    if fd:
+    assert space.ricci_fn is not None
+    if ricci == "fd":
         space = fd_space(space)
+    elif ricci == "d2g":
+        space = dataclasses.replace(space, ricci_fn=None)
     pts = random_points(np.random.default_rng(2), 8, *shell)
+    if has_origin:
+        pts = np.concatenate([pts, np.zeros((1, 3))])
     cv = curvature_at(space, pts)
     ric = np.einsum("...ab,...acbd->...cd", cv.inv_metric, cv.riemann)
     assert np.max(np.abs(ric - cv.ricci)) < 1e-11
@@ -213,11 +225,26 @@ def test_catalog_scale_or_Lambda():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_entries_supply_their_derivatives(name):
-    # a missing function would move the space to central differences without
-    # any error, and central-difference d2g costs 36 metric evaluations per point
+    # a missing function would move the space to central differences (or to
+    # the generic Ricci kernel) without any error, and central-difference d2g
+    # costs 36 metric evaluations per point
     space = catalog(name)
     assert space.dmetric_fn is not None and space.d2metric_fn is not None
+    assert space.ricci_fn is not None
     assert space.k_fn is None or space.dk_fn is not None
+
+
+def test_catalog_rejects_non_finite_parameters():
+    from qll.highdim import radial_model
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(CatalogError, match="'Lambda'.*finite"):
+            catalog("hyperbolic", Lambda=value)
+        with pytest.raises(CatalogError, match="'a'.*finite"):
+            catalog("hyperboloid", a=value)
+        with pytest.raises(CatalogError, match="'m'.*finite"):
+            catalog("schwarzschild", m=value)
+        with pytest.raises(CatalogError, match="'m'.*finite"):
+            radial_model("schwarzschild", m=value)
 
 
 def test_reissner_nordstrom_field_strength():
@@ -319,13 +346,33 @@ def test_missing_second_derivatives_are_differenced():
     # dg is the space's own function and d2g comes from central differences;
     # the tolerance is test_fd_matches_analytic_at_1e4's
     analytic = catalog("schwarzschild")
-    space = dataclasses.replace(analytic, d2metric_fn=None)
+    space = dataclasses.replace(analytic, d2metric_fn=None, ricci_fn=None)
     pts = random_points(np.random.default_rng(11), 12, 2.5, 6.0)
     got, ref = ambient_fields_at(space, pts), ambient_fields_at(analytic, pts)
     for name in ("ricci", "scalar", "mu", "dec_margin"):
         exact = getattr(ref, name)
         scale = np.max(np.abs(exact)) + 1.0
         assert np.max(np.abs(getattr(got, name) - exact)) / scale < 1e-5
+
+
+def test_fd_steps_are_per_point():
+    # a point's central differences use its own step, so a far point in the
+    # same batch changes none of its differenced derivatives
+    p = np.array([[2.5, 0.3, 0.1]])
+    batch = np.concatenate([p, [[40.0, 0.0, 0.0]]])
+    for name, fn, point, far in (("schwarzschild", "metric_fn", p, batch[1]),
+                                 ("paraboloid", "k_fn", 0.2 * p, [1.9, 0.0, 0.0])):
+        space = fd_space(catalog(name))
+        for order in (1, 2):
+            alone = amb._derivative(space, None, getattr(space, fn), point, order)
+            batched = amb._derivative(space, None, getattr(space, fn),
+                                      np.concatenate([point, [far]]), order)
+            assert np.array_equal(alone[0], batched[0]), (name, order)
+    # the Ricci tensor from those differences is as accurate in the batch as alone
+    space, exact = fd_space(catalog("schwarzschild")), catalog("schwarzschild")
+    ref = ambient_fields_at(exact, batch).ricci
+    got = ambient_fields_at(space, batch).ricci
+    assert np.max(np.abs(got[0] - ref[0])) < 1e-5
 
 
 @settings(max_examples=15, deadline=None)

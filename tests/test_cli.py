@@ -307,6 +307,9 @@ def broken_sweep(**fields):
              "varcheck.lapse.ell"),
     # a space form is given by its scale or by Lambda, not both
     lambda: broken("eval", space={"name": "hyperbolic", "params": {"a": 2.0, "Lambda": -3.0}}),
+    # JSON's NaN parses to a float; the catalog names the non-finite parameter
+    lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": float("nan")}}),
+             "'a'", "finite"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

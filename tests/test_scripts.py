@@ -87,3 +87,37 @@ def test_bench_pairs_summary():
     assert (rate["parent"]["pairs_won"], rate["change"]["pairs_won"]) == (1, 3)
     assert rate["change"]["median"] == 6.0
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_report_drift_compare():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        import report_drift
+    finally:
+        sys.path.remove(os.path.join(ROOT, "scripts"))
+    parent = {
+        "a/report.json": '{"E":1.0,"status":"converged","grid":[32,64],"rows":[{"s":0.5}]}\n',
+        "a/report.csv": "field,value\nE,1.0\nstatus,\"x,y\"\n",
+        "a/table.csv": "s,err\n1,3.0\n2,-1.0\n",
+        "a/final_mesh.txt": "2 2 0 0 0\n1.0 1.0\n1.0 1.0\n",
+        "a/gone.json": "{}\n",
+    }
+    change = {
+        "a/report.json": '{"E":1.5,"status":"stagnated","grid":[32,64],"rows":[{"s":0.5}]}\n',
+        "a/report.csv": "field,value\nE,1.0\nstatus,\"x,y\"\n",
+        "a/table.csv": "s,err\n1,3.4\n2,-1.0\n",
+        "a/final_mesh.txt": "2 2 0 0 0\n1.0 1.0\n1.0 1.0\n1.0\n",
+        "a/new.json": "{}\n",
+    }
+    drift, issues = report_drift.compare(parent, change)
+    # |a - b| / (1 + |a|) with a from the parent, the largest over a column
+    assert drift["a/report.json.E"] == 0.25
+    assert abs(drift["a/table.csv:err"] - 0.1) < 1e-15
+    assert drift["a/table.csv:s"] == drift["a/report.csv:E"] == 0.0
+    assert drift["a/report.json.grid"] == drift["a/report.json.rows[0].s"] == 0.0
+    # a quoted CSV cell is one text value, equal on both sides
+    assert "a/report.csv:status" not in drift
+    assert issues == ["a/final_mesh.txt: 9 values in parent, 10 in change",
+                      "a/gone.json: only in parent",
+                      "a/new.json: only in change",
+                      "a/report.json.status: non-numeric values differ"]

@@ -223,7 +223,8 @@ def _counted_space(space, names, calls):
 
 
 def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypatch):
-    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "d2metric_fn", "k_fn", "dk_fn",
+    # the catalog's closed-form Ricci tensor replaces d2g in the field fill
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "d2metric_fn", "ricci_fn", "k_fn", "dk_fn",
                            "gauss_curvature"), 0)
     space = _counted_space(hyperboloid, list(calls)[:-1], calls)
     intrinsic = sf._gauss_curvature_intrinsic
@@ -239,8 +240,25 @@ def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypa
     assert calls["gauss_curvature"] == 0
     energy_report(space, geom)
     sf.gauss_equation_check(space, geom)
-    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "d2metric_fn": 1, "k_fn": 1, "dk_fn": 1,
-                     "gauss_curvature": 1}
+    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "d2metric_fn": 0, "ricci_fn": 1,
+                     "k_fn": 1, "dk_fn": 1, "gauss_curvature": 1}
+
+
+def test_time_symmetric_surface_never_forms_christoffels(grid24, schwarzschild, monkeypatch):
+    # the build reads the second fundamental form from dg and the fill reads
+    # the closed-form Ricci tensor, so no Gamma is formed on k = 0 data
+    import qll.ambient as amb
+
+    def no_christoffels(*args):
+        raise AssertionError("Christoffel symbols formed")
+
+    monkeypatch.setattr(amb, "_christoffels", no_christoffels)
+    assert not hasattr(sf, "_christoffels")
+    geom = sf.induced_geometry(schwarzschild,
+                               sf.round_sphere_with_harmonics(grid24, 4.0, [(2, 1, 0.05)]))
+    residual_report(schwarzschild, geom, "willmore")
+    residual_report(schwarzschild, geom, "hawking")
+    energy_report(schwarzschild, geom)
 
 
 def test_completed_area_stage_is_the_full_build(grid24, schwarzschild):

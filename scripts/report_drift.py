@@ -1,6 +1,6 @@
 """Drift of the qll CLI artefacts between two checkouts.
 
-    python scripts/report_drift.py PARENT_DIR CHANGE_DIR [--tol 1e-14] [--work DIR]
+    python scripts/report_drift.py PARENT_DIR CHANGE_DIR [--tol 1e-14]
 
 Runs a fixed set of CLI configs (eval, residual, flow, sweep and varcheck,
 each with --format json and --format csv) with each checkout's src on
@@ -169,14 +169,11 @@ def main(argv=None):
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--work", help="directory for configs and artefacts (default: a temporary one)")
     args = p.parse_args(argv)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or tmp
-        (a_files, a_codes), (b_files, b_codes) = (
-            run_side(args.parent, os.path.join(work, "parent")),
-            run_side(args.change, os.path.join(work, "change")))
+    with tempfile.TemporaryDirectory() as work:
+        a_files, a_codes = run_side(args.parent, os.path.join(work, "parent"))
+        b_files, b_codes = run_side(args.change, os.path.join(work, "change"))
     drift, issues = compare(a_files, b_files)
     issues += [f"{run}: exit code {a_codes[run]} in parent, {b_codes[run]} in change"
                for run in a_codes if a_codes[run] != b_codes[run]]

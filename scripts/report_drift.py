@@ -114,31 +114,31 @@ def _is_number(v):
 
 
 def compare(parent, change):
-    """(drift, issues) of two {artefact name: text} maps.
+    """(drift, differences) of two {artefact name: text} maps.
 
     drift maps every field whose values are all finite numbers on both sides
-    to max |a - b| / (1 + |a|), a from parent; issues lists, in order, each
+    to max |a - b| / (1 + |a|), a from parent; differences lists, in order, each
     artefact or field on one side only and each field whose number of values
     or non-numeric values differ.
     """
-    drift, issues = {}, []
+    drift, differences = {}, []
     for name in sorted(set(parent) | set(change)):
         if name not in parent or name not in change:
-            issues.append(f"{name}: only in {'parent' if name in parent else 'change'}")
+            differences.append(f"{name}: only in {'parent' if name in parent else 'change'}")
             continue
         a_fields, b_fields = artifact_fields(name, parent[name]), artifact_fields(name, change[name])
         for field in sorted(set(a_fields) | set(b_fields)):
             a, b = a_fields.get(field), b_fields.get(field)
             if a is None or b is None:
-                issues.append(f"{field}: only in {'parent' if b is None else 'change'}")
+                differences.append(f"{field}: only in {'parent' if b is None else 'change'}")
             elif len(a) != len(b):
-                issues.append(f"{field}: {len(a)} values in parent, {len(b)} in change")
+                differences.append(f"{field}: {len(a)} values in parent, {len(b)} in change")
             elif all(_is_number(x) and _is_number(y) for x, y in zip(a, b)):
                 drift[field] = max((abs(x - y) / (1.0 + abs(x)) for x, y in zip(a, b)),
                                    default=0.0)
             elif a != b:
-                issues.append(f"{field}: non-numeric values differ")
-    return drift, issues
+                differences.append(f"{field}: non-numeric values differ")
+    return drift, differences
 
 
 def run_side(checkout, work):
@@ -174,17 +174,17 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         a_files, a_codes = run_side(args.parent, os.path.join(work, "parent"))
         b_files, b_codes = run_side(args.change, os.path.join(work, "change"))
-    drift, issues = compare(a_files, b_files)
-    issues += [f"{run}: exit code {a_codes[run]} in parent, {b_codes[run]} in change"
+    drift, differences = compare(a_files, b_files)
+    differences += [f"{run}: exit code {a_codes[run]} in parent, {b_codes[run]} in change"
                for run in a_codes if a_codes[run] != b_codes[run]]
     for field, value in sorted(drift.items()):
         print(f"{value:.3e}  {field}")
-    for issue in issues:
-        print(f"DIFFERS  {issue}")
+    for difference in differences:
+        print(f"DIFFERS  {difference}")
     worst = max(drift.values(), default=0.0)
     print(f"{len(a_files)} artefacts, {len(drift)} numeric fields, max drift {worst:.3e}, "
-          f"{len(issues)} other differences")
-    return 1 if worst > args.tol or issues else 0
+          f"{len(differences)} other differences")
+    return 1 if worst > args.tol or differences else 0
 
 
 if __name__ == "__main__":

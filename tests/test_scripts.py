@@ -109,7 +109,7 @@ def test_report_drift_compare():
         "a/final_mesh.txt": "2 2 0 0 0\n1.0 1.0\n1.0 1.0\n1.0\n",
         "a/new.json": "{}\n",
     }
-    drift, issues = report_drift.compare(parent, change)
+    drift, differences = report_drift.compare(parent, change)
     # |a - b| / (1 + |a|) with a from the parent, the largest over a column
     assert drift["a/report.json.E"] == 0.25
     assert abs(drift["a/table.csv:err"] - 0.1) < 1e-15
@@ -117,7 +117,7 @@ def test_report_drift_compare():
     assert drift["a/report.json.grid"] == drift["a/report.json.rows[0].s"] == 0.0
     # a quoted CSV cell is one text value, equal on both sides
     assert "a/report.csv:status" not in drift
-    assert issues == ["a/final_mesh.txt: 9 values in parent, 10 in change",
+    assert differences == ["a/final_mesh.txt: 9 values in parent, 10 in change",
                       "a/gone.json: only in parent",
                       "a/new.json: only in change",
                       "a/report.json.status: non-numeric values differ"]

@@ -5,7 +5,8 @@ coordinate derivatives (analytic closed forms for catalog entries, central
 finite differences otherwise), curvature, covariant derivatives of k, and
 the constraint densities mu, J at arbitrary chart points.  Catalog entries
 also supply their Ricci tensor in closed form; for any other space Ric is
-contracted from d2g and the Christoffel symbols.
+the contraction R^a_bad of the Riemann tensor, which _riemann_up forms from
+d2g and the Christoffel symbols, the one curvature formula here.
 
 All evaluators are vectorized over a leading batch of chart points: inputs
 of shape (..., 3) give tensors of shape (..., 3, 3) etc.  Derivative index
@@ -31,10 +32,9 @@ class AmbientSpace:
     dmetric_fn: object = None
     d2metric_fn: object = None
     dk_fn: object = None
-    ricci_fn: object = None        # R_ab in closed form; None means computed from d2g
+    ricci_fn: object = None        # R_ab in closed form; None means R^a_bad from d2g
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
-    fd_step: float = None          # None means the eps^(1/3) / eps^(1/4) step rules
 
     @property
     def time_symmetric(self):
@@ -97,15 +97,13 @@ def _spd_inverse(g, name):
 # ---------------------------------------------------------------------------
 # derivatives: the space's own, or central differences
 
-def _fd_steps(points, step):
-    """First- and second-derivative steps: step itself, or one pair per point.
+def _fd_steps(points):
+    """First- and second-derivative steps, one pair per point.
 
     Per point, the optimal central-difference steps (truncation vs roundoff)
     scale with max(1, |x|), so a point's differences do not depend on the
     other points of the batch.
     """
-    if step is not None:
-        return float(step), float(step)
     scale = np.maximum(1.0, np.linalg.norm(points, axis=-1))[..., None]
     return scale * _EPS ** (1.0 / 3.0), scale * _EPS ** 0.25
 
@@ -145,7 +143,7 @@ def _derivative(space, own, fn, points, order=1):
     """own(points) when the space supplies this derivative, else central differences of fn."""
     if own is not None:
         return own(points)
-    h1, h2 = _fd_steps(points, space.fd_step)
+    h1, h2 = _fd_steps(points)
     return _fd_first(fn, points, h1) if order == 1 else _fd_second(fn, points, h2)
 
 
@@ -171,60 +169,31 @@ def _christoffels(ginv, dg):
 
 
 def christoffels_at(space, points):
-    """Gamma^a_bc, g, g^{-1} and dg at the given chart points.
-
-    The one evaluation of first-order metric data; it checks chart and SPD.
-    """
+    """Gamma^a_bc, g, g^{-1} and dg at chart points, after the chart and SPD checks."""
     points = np.asarray(points, dtype=float)
     g, ginv = space._metric_and_inverse(points)
     dg = _derivative(space, space.dmetric_fn, space.metric_fn, points)
     return _christoffels(ginv, dg), g, ginv, dg
 
 
-def _ricci(ginv, gamma, dg, d2g):
-    """R_bd = d_a Gamma^a_bd - d_d Gamma^a_ab + Gamma^a_ae Gamma^e_bd - Gamma^a_de Gamma^e_ab.
+def _riemann_up(ginv, gamma, dg, d2g):
+    """R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb.
 
-    Every term is contracted to two indices before a 3x3 result is formed:
-    with Q_c = g^{-1} d_c g and D_{cd,ab} = d_c d_d g_ab as a 9x9 matrix,
-      d_a Gamma^a_bd = -w_e Gamma^e_bd + (S_bd + S_db - (g^{ae} d_a d_e g)_bd) / 2,
-      d_d Gamma^a_ab = (g^{ae} d_d d_b g_ae - tr(Q_d Q_b)) / 2,
-      Gamma^a_ae = tr(Q_e) / 2,
-    where w_e = sum_a (Q_a)_ae and S_bd = g^{ae} d_b d_a g_de.  With the
-    matrices (G_c)^a_e = Gamma^a_ce, Q_c = G_c + g^{-1} G_c^T g, so the
-    quadratic terms combine to
-      tr(Q_d Q_b) / 2 - Gamma^a_de Gamma^e_ab = tr(G_d g^{-1} G_b^T g)
-                                              = Gamma^a_de T_abf g^{fe} / 2.
+    With d_c Gamma^a_db = (d_c g^{ae} T_edb + g^{ae} d_c T_edb) / 2 and
+    d_c g^{ae} = -(g^{-1} d_c g g^{-1})^{ae}, both halves of
+    M[c, a, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db are batched
+    (3 x 3) @ (3 x 9) products, and R^a_bcd = M[c, a, d, b] - M[d, a, c, b].
     """
     batch = ginv.shape[:-2]
-    gvec = ginv.reshape(batch + (9,))
-    gcol, grow = gvec[..., :, None], gvec[..., None, :]
-    trQ = np.einsum("...cx,...x->...c", dg.reshape(batch + (3, 9)), gvec)
-    w = (grow @ dg.reshape(batch + (9, 3)))[..., 0, :]
-    D = d2g.reshape(batch + (9, 9))
-    box = grow @ D                          # g^{ae} d_a d_e g_bd
-    trace_hess = D @ gcol                   # g^{ae} d_d d_b g_ae
-    # S_bd = g^{ae} d_b d_a g_ed, with d2g read in place as [b, (a, e), d]
-    S = (np.swapaxes(d2g.reshape(batch + (3, 9, 3)), -1, -2) @ gcol[..., None, :, :])[..., 0]
-    # V[a, b, e] = T_abf g^{fe} / 2, regrouped as [(a, e), b]; gs[d, a, e] = Gamma^a_de
-    V = ((0.5 * _first_kind(dg)).reshape(batch + (9, 3)) @ ginv).reshape(dg.shape)
-    V = np.swapaxes(V, -1, -2).reshape(batch + (9, 3))
-    gs = np.ascontiguousarray(np.swapaxes(gamma, -3, -2)).reshape(batch + (3, 9))
-    lin = (0.5 * trQ - w)[..., None, :] @ gamma.reshape(batch + (3, 9))
-    second = S + np.swapaxes(S, -1, -2) - box.reshape(S.shape) - trace_hess.reshape(S.shape)
-    return lin.reshape(S.shape) + 0.5 * second + gs @ V
-
-
-def _ricci_of(space, points, ginv, dg, gamma=None, d2g=None):
-    """R_ab at points: the space's closed form when it supplies one, else
-    _ricci from its d2g (own or central differences); gamma and d2g are
-    computed here when not given."""
-    if space.ricci_fn is not None:
-        return space.ricci_fn(points)
-    if gamma is None:
-        gamma = _christoffels(ginv, dg)
-    if d2g is None:
-        d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
-    return _ricci(ginv, gamma, dg, d2g)
+    gi = ginv[..., None, :, :]
+    dginv = -(gi @ dg @ gi)                                  # [c, a, e]
+    T = _first_kind(dg).reshape(batch + (1, 3, 9))
+    dT = _first_kind(d2g).reshape(batch + (3, 3, 9))         # d_c T_edb
+    gs = np.swapaxes(gamma, -3, -2)                          # gs[c, a, e] = Gamma^a_ce
+    M = 0.5 * (dginv @ T + gi @ dT) + gs @ gamma.reshape(batch + (1, 3, 9))
+    M = M.reshape(batch + (3, 3, 3, 3))
+    # [c, a, d, b] -> [a, b, c, d]
+    return np.moveaxis(M - np.swapaxes(M, -4, -2), (-4, -3, -2, -1), (-2, -4, -1, -3))
 
 
 def _scalar(ginv, ricci):
@@ -242,20 +211,15 @@ class CurvatureData:
 
 
 def curvature_at(space, points):
+    """Gamma, R_abcd, Ric and Sc at chart points; Ric is the space's closed
+    form when it supplies one, else the contraction R^a_bad."""
     points = np.asarray(points, dtype=float)
     gamma, g, ginv, dg = christoffels_at(space, points)
     d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
-    # dGamma[..., c, a, d, b] = d_c Gamma^a_db
-    dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("...cae,...edb->...cadb", dginv, _first_kind(dg))
-                    + np.einsum("...ae,...cedb->...cadb", ginv, _first_kind(d2g)))
-    # R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb
-    riem_up = (np.einsum("...cadb->...abcd", dgamma)
-               - np.einsum("...dacb->...abcd", dgamma)
-               + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-               - np.einsum("...ade,...ecb->...abcd", gamma, gamma))
-    riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
-    ricci = _ricci_of(space, points, ginv, dg, gamma, d2g)
+    riem_up = _riemann_up(ginv, gamma, dg, d2g)
+    riemann = (g @ riem_up.reshape(riem_up.shape[:-4] + (3, 27))).reshape(riem_up.shape)
+    ricci = (np.trace(riem_up, axis1=-4, axis2=-2) if space.ricci_fn is None
+             else space.ricci_fn(points))
     return CurvatureData(gamma, riemann, ricci, _scalar(ginv, ricci), g, ginv)
 
 
@@ -267,7 +231,7 @@ def _nabla_k(gamma, k, dk):
 
 def nabla_k_at(space, points):
     """(nabla_a k)_bc = d_a k_bc - Gamma^d_ab k_dc - Gamma^d_ac k_bd."""
-    return ambient_fields_at(space, points).nabla_k
+    return constraint_data_at(space, points).nabla_k
 
 
 @dataclass(frozen=True)
@@ -288,22 +252,29 @@ class AmbientFields:
         return self.mu - self.jnorm
 
 
-def ambient_fields_at(space, points):
-    """Ric, Sc, nabla k, mu, J and |k|^2 at chart points."""
+def constraint_data_at(space, points):
+    """Ric, Sc, nabla k and the densities 2 mu = Sc + (tr k)^2 - |k|^2,
+    J = div(k - (tr k) g) at chart points."""
     points = np.asarray(points, dtype=float)
-    _, _, ginv, dg = christoffels_at(space, points)
+    _, ginv = space._metric_and_inverse(points)
+    dg = _derivative(space, space.dmetric_fn, space.metric_fn, points)
     return _fields(space, points, ginv, dg, space.k_tensor(points))
 
 
 def _fields(space, points, ginv, dg, k):
     """AmbientFields from first-order data already evaluated at points.
 
-    2 mu = Sc + (tr k)^2 - |k|^2 and J = div(k - (tr k) g); on time-symmetric
-    data every k-term is an exact 0 and is not computed.  Gamma is formed
-    only for nabla k and for a Ricci tensor the space does not supply.
+    On time-symmetric data every k-term is an exact 0 and is not computed.
+    Gamma is formed only for nabla k and for a Ricci tensor the space does
+    not supply, which is then contracted from the Riemann tensor.
     """
-    gamma = None if space.time_symmetric else _christoffels(ginv, dg)
-    ricci = _ricci_of(space, points, ginv, dg, gamma)
+    if space.ricci_fn is not None:
+        ricci = space.ricci_fn(points)
+        gamma = None if space.time_symmetric else _christoffels(ginv, dg)
+    else:
+        gamma = _christoffels(ginv, dg)
+        d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
+        ricci = np.trace(_riemann_up(ginv, gamma, dg, d2g), axis1=-4, axis2=-2)
     scalar = _scalar(ginv, ricci)
     if space.time_symmetric:
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
@@ -320,11 +291,6 @@ def _fields(space, points, ginv, dg, k):
     jnorm = np.sqrt(np.einsum("...ab,...a,...b->...", ginv, J, J))
     return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=nk,
                          mu=0.5 * (scalar + trk ** 2 - ksq), J=J, jnorm=jnorm, ksq=ksq)
-
-
-def constraint_data_at(space, points):
-    """Energy/momentum densities 2 mu = Sc + (tr k)^2 - |k|^2, J = div(k - (tr k) g)."""
-    return ambient_fields_at(space, points)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +587,9 @@ def _lookup(table, kind, name, params):
     """table[name]'s constructor called with its defaults, overridden by params.
 
     Each given value is converted to its default's type (float where the
-    default is None).  An unknown name or key, a value that does not convert
-    and a non-finite value are CatalogErrors.
+    default is None).  An unknown name or key, a value that does not convert,
+    a non-finite value and an integer parameter given a bool or a value that
+    is not exactly an integer are CatalogErrors.
     """
     if not isinstance(name, str) or name not in table:
         raise CatalogError(f"unknown {kind} '{name}'")
@@ -638,4 +605,7 @@ def _lookup(table, kind, name, params):
     for k, v in given.items():
         if not np.isfinite(v):
             raise CatalogError(f"parameter '{k}' of {kind} '{name}' must be finite, got {v}")
+        if type(v) is int and (isinstance(params[k], bool) or v != params[k]):
+            raise CatalogError(
+                f"parameter '{k}' of {kind} '{name}' must be an integer, got {params[k]!r}")
     return build(**dict(defaults, **given))

@@ -42,11 +42,12 @@ def paraboloid():
     return catalog("paraboloid", alpha=0.5)
 
 
-def fd_space(space, step=None):
+def fd_space(space):
     """space without its own derivatives or Ricci tensor, so dg, d2g and dk are
-    central differences and Ric is contracted from them."""
+    central differences and Ric is the contraction of the Riemann tensor
+    formed from them."""
     return dataclasses.replace(space, dmetric_fn=None, d2metric_fn=None, dk_fn=None,
-                               ricci_fn=None, fd_step=step)
+                               ricci_fn=None)
 
 
 def random_points(rng, n, rmin=0.5, rmax=3.0):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import qll.ambient as amb
 from conftest import fd_space, random_points
-from qll.ambient import (CATALOG, ambient_fields_at, catalog, christoffels_at,
-                         constraint_data_at, curvature_at, nabla_k_at)
+from qll.ambient import (CATALOG, catalog, christoffels_at, constraint_data_at, curvature_at,
+                         nabla_k_at)
 from qll.errors import CatalogError, ChartDomainError, GeometryError
 
 
@@ -73,9 +73,10 @@ CATALOG_SHELLS = {
                          ids=list(CATALOG_SHELLS) + ["fd-hyperboloid", "d2g-schwarzschild",
                                                      "d2g-hemisphere"])
 def test_ricci_is_riemann_contraction(name, ricci):
-    # .ricci is the space's closed form, or the Ricci-only kernel on the
-    # space's own d2g ("d2g") or on central differences ("fd"); .riemann
-    # always comes from the full formula
+    # .ricci is the space's closed form, or the contraction R^a_bad of the
+    # Riemann tensor from the space's own d2g ("d2g") or from central
+    # differences ("fd"); .riemann always comes from the full formula, so
+    # the closed forms are checked against it
     params, shell, has_origin = CATALOG_SHELLS[name]
     space = catalog(name, **params)
     assert space.ricci_fn is not None
@@ -162,6 +163,22 @@ def test_hyperboloid_constraint_closed_form(hyperboloid):
     p = np.array([[0.7, -0.2, 0.4]])
     cv = curvature_at(hyperboloid, p)
     assert abs(cv.scalar[0] + 6.0) < 1e-12
+
+
+def test_point_evaluators_form_christoffels_only_for_nabla_k(monkeypatch, hyperboloid,
+                                                            schwarzschild):
+    # Gamma is formed once for nabla k on k != 0 data and not at all on
+    # time-symmetric catalog data, whose Ricci tensor is closed-form
+    calls = []
+    christoffels = amb._christoffels
+    monkeypatch.setattr(amb, "_christoffels", lambda *args: calls.append(1) or christoffels(*args))
+    pts = random_points(np.random.default_rng(12), 5, 3.0, 6.0)
+    for evaluate, space, count in ((constraint_data_at, hyperboloid, 1),
+                                   (nabla_k_at, hyperboloid, 1),
+                                   (constraint_data_at, schwarzschild, 0)):
+        calls.clear()
+        evaluate(space, pts)
+        assert len(calls) == count, (evaluate.__name__, space.name)
 
 
 # -- catalog -----------------------------------------------------------------
@@ -311,9 +328,10 @@ def test_contracted_bianchi(name, params, point):
     ("hyperboloid", {"a": 1.0}, [1.0, 0.2, -0.3]),
     ("hemisphere", {"radius": 1.0}, [0.4, 1.1, 0.2]),
 ])
-def test_fd_matches_analytic_at_1e4(name, params, point):
+def test_fd_matches_analytic_at_1e4(monkeypatch, name, params, point):
     space = catalog(name, **params)
-    fd = fd_space(space, 1e-4)
+    fd = fd_space(space)
+    monkeypatch.setattr(amb, "_fd_steps", lambda points: (1e-4, 1e-4))
     p = np.asarray(point)[None]
     cva = curvature_at(space, p)
     cvf = curvature_at(fd, p)
@@ -321,12 +339,13 @@ def test_fd_matches_analytic_at_1e4(name, params, point):
     assert np.max(np.abs(cvf.ricci - cva.ricci)) / scale < 1e-5
 
 
-def test_fd_second_order_convergence(hyperboloid):
+def test_fd_second_order_convergence(monkeypatch, hyperboloid):
     p = np.array([[0.9, -0.1, 0.4]])
     exact = curvature_at(hyperboloid, p).ricci
+    fd = fd_space(hyperboloid)
     errs = []
     for h in (2e-3, 1e-3):
-        fd = fd_space(hyperboloid, h)
+        monkeypatch.setattr(amb, "_fd_steps", lambda points, h=h: (h, h))
         errs.append(np.max(np.abs(curvature_at(fd, p).ricci - exact)))
     assert errs[1] < errs[0] / 3.0  # O(h^2): ideally factor 4
 
@@ -348,7 +367,7 @@ def test_missing_second_derivatives_are_differenced():
     analytic = catalog("schwarzschild")
     space = dataclasses.replace(analytic, d2metric_fn=None, ricci_fn=None)
     pts = random_points(np.random.default_rng(11), 12, 2.5, 6.0)
-    got, ref = ambient_fields_at(space, pts), ambient_fields_at(analytic, pts)
+    got, ref = constraint_data_at(space, pts), constraint_data_at(analytic, pts)
     for name in ("ricci", "scalar", "mu", "dec_margin"):
         exact = getattr(ref, name)
         scale = np.max(np.abs(exact)) + 1.0
@@ -370,8 +389,8 @@ def test_fd_steps_are_per_point():
             assert np.array_equal(alone[0], batched[0]), (name, order)
     # the Ricci tensor from those differences is as accurate in the batch as alone
     space, exact = fd_space(catalog("schwarzschild")), catalog("schwarzschild")
-    ref = ambient_fields_at(exact, batch).ricci
-    got = ambient_fields_at(space, batch).ricci
+    ref = constraint_data_at(exact, batch).ricci
+    got = constraint_data_at(space, batch).ricci
     assert np.max(np.abs(got[0] - ref[0])) < 1e-5
 
 

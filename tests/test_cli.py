@@ -310,6 +310,8 @@ def broken_sweep(**fields):
     # JSON's NaN parses to a float; the catalog names the non-finite parameter
     lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": float("nan")}}),
              "'a'", "finite"),
+    # an integer model parameter is not truncated (n = 3.7 used to run as n = 3)
+    lambda: (*broken_sweep(params={"n": 3.7, "m": 1.0}, r_values=[3.0]), "'n'", "integer"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

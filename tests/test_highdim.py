@@ -137,6 +137,11 @@ def test_radial_model_parameters(name, params, r):
         hd.radial_model(name, mass=2.0, **params)
     with pytest.raises(CatalogError):
         hd.radial_model(name, n=[4], **params)
+    # an integer parameter is not truncated: 4.0 is 4, but 3.7 and True are errors
+    assert hd.radial_model(name, n=4.0, **params).n == 4
+    for value in (3.7, True, "4"):
+        with pytest.raises(CatalogError, match="'n'.*integer"):
+            hd.radial_model(name, n=value, **params)
 
 
 def test_radial_sweep_shapes():

@@ -150,6 +150,6 @@ def test_time_symmetric_mu_keeps_the_sign_of_zero(monkeypatch):
     # Sc + 0 - 0 turns Sc = -0.0 into mu = +0.0, where 0.5 * Sc would give -0.0
     scalar = np.array([-0.0, 0.0, -1.5, 2.0])
     monkeypatch.setattr(amb, "_scalar", lambda ginv, ricci: scalar)
-    mu = amb.ambient_fields_at(catalog("euclidean"), np.ones((4, 3))).mu
+    mu = amb.constraint_data_at(catalog("euclidean"), np.ones((4, 3))).mu
     assert mu.tobytes() == (0.5 * (scalar + 0.0 ** 2 - 0.0)).tobytes()
     assert not np.signbit(mu[0])

@@ -198,6 +198,33 @@ def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
     assert_close(fields.mu - fields.jnorm, cons.dec_margin)
 
 
+# name -> (params, mean radius) of an off-centre perturbed sphere inside the chart
+CATALOG_SURFACES = {
+    "euclidean": ({}, 1.0),
+    "schwarzschild": ({"m": 1.0}, 4.0),
+    "reissner_nordstrom": ({"m": 1.0, "q": 0.5}, 4.0),
+    "hyperboloid": ({"a": 1.0}, 1.0),
+    "paraboloid": ({"alpha": 0.5}, 1.0),
+    "hyperbolic": ({"a": 1.0}, 1.0),
+    "hemisphere": ({"radius": 1.0}, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SURFACES))
+def test_fill_without_closed_form_ricci_matches_catalog(grid24, name):
+    # a space without ricci_fn contracts Ric from the Riemann tensor of its
+    # own d2g; on a surface it must give the closed-form fill to the
+    # tolerance of test_ricci_is_riemann_contraction
+    params, r0 = CATALOG_SURFACES[name]
+    space = catalog(name, **params)
+    mesh = sf.round_sphere_with_harmonics(grid24, r0, [(2, 1, 0.05), (3, -2, 0.03)],
+                                          center=(0.1, 0.05, -0.07))
+    ref = sf.induced_geometry(space, mesh).ambient
+    got = sf.induced_geometry(dataclasses.replace(space, ricci_fn=None), mesh).ambient
+    for field in ("ricci", "scalar", "mu", "dec_margin"):
+        assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-11, field
+
+
 @pytest.mark.parametrize("evaluate", [
     energy_report, f_integrals, sf.gauss_equation_check,
     lambda space, geom: residual_report(space, geom, "hawking"),

@@ -1,18 +1,20 @@
 """Chart-based ambient initial-data geometry (M, g, k).
 
 An AmbientSpace evaluates the metric g, the symmetric 2-tensor k, their
-coordinate derivatives (analytic closed forms for catalog entries, central
-finite differences otherwise), curvature, covariant derivatives of k, and
-the constraint densities mu, J at arbitrary chart points.  Catalog entries
-also supply their Ricci tensor in closed form; for any other space Ric is
-the contraction R^a_bad of the Riemann tensor, which _riemann_up forms from
-d2g and the Christoffel symbols, the one curvature formula here.
+first coordinate derivatives (analytic closed forms for catalog entries,
+central finite differences otherwise), curvature, covariant derivatives of
+k, and the constraint densities mu, J at arbitrary chart points.  Ric is
+the one curvature input: catalog entries supply it in closed form, and for
+any other space it is the contraction R^a_bad of the Riemann tensor that
+_riemann_up forms from central-difference d2g.  In three dimensions Ric
+determines the Riemann tensor, which curvature_at forms from it.
 
 All evaluators are vectorized over a leading batch of chart points: inputs
 of shape (..., 3) give tensors of shape (..., 3, 3) etc.  Derivative index
 layout: dg[..., c, a, b] = d_c g_ab and d2g[..., c, d, a, b] = d_c d_d g_ab.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,11 +30,10 @@ class AmbientSpace:
     params: dict
     metric_fn: object
     k_fn: object = None            # None means k identically 0
-    # derivatives d_c g_ab, d_c d_d g_ab and d_c k_ab; None means central differences
+    # derivatives d_c g_ab and d_c k_ab; None means central differences
     dmetric_fn: object = None
-    d2metric_fn: object = None
     dk_fn: object = None
-    ricci_fn: object = None        # R_ab in closed form; None means R^a_bad from d2g
+    ricci_fn: object = None        # R_ab in closed form; None means R^a_bad from differenced d2g
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
 
@@ -139,12 +140,11 @@ def _over_2h(diff, h, points):
     return diff / (2.0 * h).reshape(h.shape[:-1] + (1,) * (diff.ndim - points.ndim + 1))
 
 
-def _derivative(space, own, fn, points, order=1):
+def _derivative(own, fn, points):
     """own(points) when the space supplies this derivative, else central differences of fn."""
     if own is not None:
         return own(points)
-    h1, h2 = _fd_steps(points)
-    return _fd_first(fn, points, h1) if order == 1 else _fd_second(fn, points, h2)
+    return _fd_first(fn, points, _fd_steps(points)[0])
 
 
 # T_dbc = d_b g_dc + d_c g_db - d_d g_bc as a constant map from dg[x, y, z] to T[d, b, c]
@@ -172,7 +172,7 @@ def christoffels_at(space, points):
     """Gamma^a_bc, g, g^{-1} and dg at chart points, after the chart and SPD checks."""
     points = np.asarray(points, dtype=float)
     g, ginv = space._metric_and_inverse(points)
-    dg = _derivative(space, space.dmetric_fn, space.metric_fn, points)
+    dg = _derivative(space.dmetric_fn, space.metric_fn, points)
     return _christoffels(ginv, dg), g, ginv, dg
 
 
@@ -196,6 +196,15 @@ def _riemann_up(ginv, gamma, dg, d2g):
     return np.moveaxis(M - np.swapaxes(M, -4, -2), (-4, -3, -2, -1), (-2, -4, -1, -3))
 
 
+def _ricci(space, points, ginv, gamma, dg):
+    """R_ab: the space's closed form, else the contraction R^a_bad of the
+    Riemann tensor from central-difference d2g."""
+    if space.ricci_fn is not None:
+        return space.ricci_fn(points)
+    d2g = _fd_second(space.metric_fn, points, _fd_steps(points)[1])
+    return np.trace(_riemann_up(ginv, gamma, dg, d2g), axis1=-4, axis2=-2)
+
+
 def _scalar(ginv, ricci):
     return np.einsum("...ab,...ab->...", ginv, ricci)
 
@@ -211,16 +220,18 @@ class CurvatureData:
 
 
 def curvature_at(space, points):
-    """Gamma, R_abcd, Ric and Sc at chart points; Ric is the space's closed
-    form when it supplies one, else the contraction R^a_bad."""
+    """Gamma, R_abcd, Ric and Sc at chart points.
+
+    The Weyl tensor vanishes in three dimensions, so R_abcd = g_ac S_bd +
+    g_bd S_ac - g_ad S_bc - g_bc S_ad with S = Ric - (Sc/4) g.
+    """
     points = np.asarray(points, dtype=float)
     gamma, g, ginv, dg = christoffels_at(space, points)
-    d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
-    riem_up = _riemann_up(ginv, gamma, dg, d2g)
-    riemann = (g @ riem_up.reshape(riem_up.shape[:-4] + (3, 27))).reshape(riem_up.shape)
-    ricci = (np.trace(riem_up, axis1=-4, axis2=-2) if space.ricci_fn is None
-             else space.ricci_fn(points))
-    return CurvatureData(gamma, riemann, ricci, _scalar(ginv, ricci), g, ginv)
+    ricci = _ricci(space, points, ginv, gamma, dg)
+    scalar = _scalar(ginv, ricci)
+    P = np.einsum("...ac,...bd->...abcd", g, ricci - 0.25 * scalar[..., None, None] * g)
+    Q = P - np.swapaxes(P, -2, -1)
+    return CurvatureData(gamma, Q - np.swapaxes(Q, -4, -3), ricci, scalar, g, ginv)
 
 
 def _nabla_k(gamma, k, dk):
@@ -257,7 +268,7 @@ def constraint_data_at(space, points):
     J = div(k - (tr k) g) at chart points."""
     points = np.asarray(points, dtype=float)
     _, ginv = space._metric_and_inverse(points)
-    dg = _derivative(space, space.dmetric_fn, space.metric_fn, points)
+    dg = _derivative(space.dmetric_fn, space.metric_fn, points)
     return _fields(space, points, ginv, dg, space.k_tensor(points))
 
 
@@ -268,20 +279,16 @@ def _fields(space, points, ginv, dg, k):
     Gamma is formed only for nabla k and for a Ricci tensor the space does
     not supply, which is then contracted from the Riemann tensor.
     """
-    if space.ricci_fn is not None:
-        ricci = space.ricci_fn(points)
-        gamma = None if space.time_symmetric else _christoffels(ginv, dg)
-    else:
-        gamma = _christoffels(ginv, dg)
-        d2g = _derivative(space, space.d2metric_fn, space.metric_fn, points, 2)
-        ricci = np.trace(_riemann_up(ginv, gamma, dg, d2g), axis1=-4, axis2=-2)
+    gamma = (None if space.time_symmetric and space.ricci_fn is not None
+             else _christoffels(ginv, dg))
+    ricci = _ricci(space, points, ginv, gamma, dg)
     scalar = _scalar(ginv, ricci)
     if space.time_symmetric:
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
         return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=np.zeros(dg.shape),
                              mu=0.5 * (scalar + 0.0), J=np.zeros(scalar.shape + (3,)),
                              jnorm=np.zeros(scalar.shape), ksq=np.zeros(scalar.shape))
-    nk = _nabla_k(gamma, k, _derivative(space, space.dk_fn, space.k_fn, points))
+    nk = _nabla_k(gamma, k, _derivative(space.dk_fn, space.k_fn, points))
     kmix = ginv @ k                          # k^a_b
     trk = np.trace(kmix, axis1=-2, axis2=-1)
     ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
@@ -300,41 +307,22 @@ def _fields(space, points, ginv, dg, k):
 #   A. "areal polar" metrics g_ab = delta_ab + psi(r) x_a x_b, which is
 #      phi(r) dr^2 + r^2 dOmega^2 with phi = 1 + psi r^2 in polar form;
 #   B. conformally flat metrics g_ab = C(r) delta_ab.
-# Derivatives use the smooth ratios u1 = psi'/r, u2 = u1'/r (resp. w1 = C'/r,
-# w2 = w1'/r) so nothing divides by r where r = 0 is in the chart.  Each
-# family builder returns the AmbientSpace fields metric_fn, dmetric_fn,
-# d2metric_fn and ricci_fn; Ric of both forms is a delta_ab + b x_a x_b.
+# Derivatives use the smooth ratios u1 = psi'/r (resp. w1 = C'/r, w2 = w1'/r)
+# so nothing divides by r where r = 0 is in the chart.  Each family builder
+# returns the AmbientSpace fields metric_fn, dmetric_fn and ricci_fn; Ric of
+# both forms is a delta_ab + b x_a x_b, so no entry needs d2g.
 
 
 def _outer_xx(points):
     return np.einsum("...a,...b->...ab", points, points)
 
 
-def _areal_maps():
-    """Constant maps: d_c (x_a x_b) = x_p dxx_p,cab, and d2g as one product
-    [u2 x^4, u1 x_p x_q, psi] @ d2map, where the 15 distinct quartic
-    monomials x^4 are products of two entries of xx (the selections in pick),
-    u1 (delta_cd x_a x_b + x_c d_d (x_a x_b) + x_d d_c (x_a x_b)) = u1 x_p x_q U_pq,cdab
-    and d_c d_d (x_a x_b) = ddxx_cdab = delta_ca delta_db + delta_cb delta_da.
-    """
-    eye = np.eye(3)
-    ddxx = np.einsum("ca,db->cdab", eye, eye) + np.einsum("cb,da->cdab", eye, eye)
-    U = (np.einsum("cd,pa,qb->pqcdab", eye, eye, eye)
-         + np.einsum("pc,qdab->pqcdab", eye, ddxx)
-         + np.einsum("pd,qcab->pqcdab", eye, ddxx)).reshape(9, 81)
-    slots = [tuple(sorted(idx)) for idx in np.ndindex(3, 3, 3, 3)]
-    quartic = sorted(set(slots))
-    pick = np.zeros((2, 9, len(quartic)))
-    for m, (c, d, a, b) in enumerate(quartic):
-        pick[0, 3 * c + d, m] = pick[1, 3 * a + b, m] = 1.0
-    place = np.array([[float(slot == mono) for slot in slots] for mono in quartic])
-    return ddxx.reshape(3, 27), pick, np.concatenate([place, U, ddxx.reshape(1, 81)])
+# d_c (x_a x_b) = x_p dxx_pcab with the constant map dxx_pcab = d_p d_c (x_a x_b)
+_DXX = (np.einsum("pa,cb->pcab", np.eye(3), np.eye(3))
+        + np.einsum("pb,ca->pcab", np.eye(3), np.eye(3))).reshape(3, 27)
 
 
-_DXX, _QUARTIC_PICK, _D2_MAP = _areal_maps()
-
-
-def _areal_fns(psi, u1, u2):
+def _areal_fns(psi, u1):
     eye = np.eye(3)
 
     def metric(points):
@@ -348,16 +336,6 @@ def _areal_fns(psi, u1, u2):
         out += ((psi(r)[..., None] * points) @ _DXX).reshape(out.shape)
         return out
 
-    def d2metric(points):
-        # d_c d_d g_ab = u2 x_c x_d x_a x_b + u1 x_p x_q U_pq,cdab + psi ddxx_cdab
-        r = np.linalg.norm(points, axis=-1)
-        batch = points.shape[:-1]
-        xx = _outer_xx(points).reshape(batch + (9,))
-        quartic = (xx @ _QUARTIC_PICK[0]) * (xx @ _QUARTIC_PICK[1])
-        coef = np.concatenate([u2(r)[..., None] * quartic, u1(r)[..., None] * xx,
-                               psi(r)[..., None]], axis=-1)
-        return (coef @ _D2_MAP).reshape(batch + (3, 3, 3, 3))
-
     def ricci(points):
         # R_ab = alpha delta_ab + beta x_a x_b with phi = 1 + psi r^2
         r = np.linalg.norm(points, axis=-1)
@@ -368,7 +346,7 @@ def _areal_fns(psi, u1, u2):
         beta = (v + 2.0 * p * v * r2 + 2.0 * p * p) * half
         return alpha[..., None, None] * eye + beta[..., None, None] * _outer_xx(points)
 
-    return dict(metric_fn=metric, dmetric_fn=dmetric, d2metric_fn=d2metric, ricci_fn=ricci)
+    return dict(metric_fn=metric, dmetric_fn=dmetric, ricci_fn=ricci)
 
 
 def _conformal_fns(C, w1, w2):
@@ -382,12 +360,6 @@ def _conformal_fns(C, w1, w2):
         r = np.linalg.norm(points, axis=-1)
         return np.einsum("...c,ab->...cab", w1(r)[..., None] * points, eye)
 
-    def d2metric(points):
-        r = np.linalg.norm(points, axis=-1)
-        xx = _outer_xx(points)
-        core = w2(r)[..., None, None] * xx + w1(r)[..., None, None] * eye
-        return np.einsum("...cd,ab->...cdab", core, eye)
-
     def ricci(points):
         # R_ab = -(4 s + (t + s^2) r^2) delta_ab - (t - s^2) x_a x_b
         # with s = w1 / (2 C) and t = (w2 C - w1^2) / (2 C^2)
@@ -398,46 +370,30 @@ def _conformal_fns(C, w1, w2):
         alpha = -(4.0 * s + (t + s * s) * r * r)
         return alpha[..., None, None] * eye - (t - s * s)[..., None, None] * _outer_xx(points)
 
-    return dict(metric_fn=metric, dmetric_fn=dmetric, d2metric_fn=d2metric, ricci_fn=ricci)
+    return dict(metric_fn=metric, dmetric_fn=dmetric, ricci_fn=ricci)
 
 
 def _euclidean():
     zero = lambda r: np.zeros_like(r)
-    return AmbientSpace("euclidean", {}, **_areal_fns(zero, zero, zero))
+    return AmbientSpace("euclidean", {}, **_areal_fns(zero, zero))
 
 
 def _reissner_nordstrom(m, q, name="reissner_nordstrom"):
     if m < 0:
         raise CatalogError("mass m must be >= 0")
-    # slice metric phi = (1 - 2m/r + q^2/r^2)^(-1); psi = (2mr - q^2) / (r^2 (r^2 - 2mr + q^2))
-    def N(r):
-        return 2.0 * m * r - q * q
-
-    def D(r):
-        return r ** 2 * (r ** 2 - 2.0 * m * r + q * q)
-
-    def D1(r):
-        return 4.0 * r ** 3 - 6.0 * m * r ** 2 + 2.0 * q * q * r
-
-    def D2(r):
-        return 12.0 * r ** 2 - 12.0 * m * r + 2.0 * q * q
+    # slice metric phi = (1 - 2m/r + q^2/r^2)^(-1); psi = N / D with
+    # N = 2mr - q^2 and D = r^2 (r^2 - 2mr + q^2)
+    def N_D(r):
+        return 2.0 * m * r - q * q, r ** 2 * (r ** 2 - 2.0 * m * r + q * q)
 
     def psi(r):
-        return N(r) / D(r)
-
-    def dpsi(r):
-        return (2.0 * m * D(r) - N(r) * D1(r)) / D(r) ** 2
-
-    def d2psi(r):
-        # quotient rule with N'' = 0
-        return -N(r) * D2(r) / D(r) ** 2 \
-            - 2.0 * D1(r) * (2.0 * m * D(r) - N(r) * D1(r)) / D(r) ** 3
+        N, D = N_D(r)
+        return N / D
 
     def u1(r):
-        return dpsi(r) / r
-
-    def u2(r):
-        return (d2psi(r) - dpsi(r) / r) / r ** 2
+        # psi' / r by the quotient rule, with N' = 2m and D' = 4r^3 - 6mr^2 + 2q^2 r
+        N, D = N_D(r)
+        return (2.0 * m * D - N * (4.0 * r ** 3 - 6.0 * m * r ** 2 + 2.0 * q * q * r)) / D ** 2 / r
 
     if q * q <= m * m:
         r_plus = m + np.sqrt(m * m - q * q)
@@ -455,20 +411,12 @@ def _reissner_nordstrom(m, q, name="reissner_nordstrom"):
         return coef[..., None] * points
 
     return AmbientSpace(name, {"m": m, "q": q}, chart_fn=chart,
-                        efield_fn=efield if q != 0.0 else None, **_areal_fns(psi, u1, u2))
+                        efield_fn=efield if q != 0.0 else None, **_areal_fns(psi, u1))
 
 
 def _hyperbolic_metric_fns(a):
-    def psi(r):
-        return -1.0 / (a * a + r * r)
-
-    def u1(r):
-        return 2.0 / (a * a + r * r) ** 2
-
-    def u2(r):
-        return -8.0 / (a * a + r * r) ** 3
-
-    return _areal_fns(psi, u1, u2)
+    # psi = -1 / (a^2 + r^2), u1 = psi' / r = 2 / (a^2 + r^2)^2
+    return _areal_fns(lambda r: -1.0 / (a * a + r * r), lambda r: 2.0 / (a * a + r * r) ** 2)
 
 
 def _hyperboloid(a):
@@ -537,7 +485,7 @@ def _paraboloid(alpha):
         return r < (1.0 / alpha) * (1.0 - 1e-12)
 
     return AmbientSpace("paraboloid", {"alpha": alpha}, k_fn=k_fn, dk_fn=dk_fn, chart_fn=chart,
-                        **_areal_fns(psi, zero, zero))
+                        **_areal_fns(psi, zero))
 
 
 def _hemisphere(radius, Lambda):
@@ -587,9 +535,10 @@ def _lookup(table, kind, name, params):
     """table[name]'s constructor called with its defaults, overridden by params.
 
     Each given value is converted to its default's type (float where the
-    default is None).  An unknown name or key, a value that does not convert,
-    a non-finite value and an integer parameter given a bool or a value that
-    is not exactly an integer are CatalogErrors.
+    default is None).  An unknown name or key, a bool or any other value that
+    is not a real number, a value that does not convert, a non-finite float
+    and an integer parameter given a value that is not exactly an integer
+    are CatalogErrors.
     """
     if not isinstance(name, str) or name not in table:
         raise CatalogError(f"unknown {kind} '{name}'")
@@ -597,15 +546,18 @@ def _lookup(table, kind, name, params):
     extra = set(params) - set(defaults)
     if extra:
         raise CatalogError(f"unexpected parameter(s): {sorted(extra)}")
-    try:
-        given = {k: (float if defaults[k] is None else type(defaults[k]))(v)
-                 for k, v in params.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CatalogError(f"invalid parameters for {kind} '{name}': {exc}") from exc
-    for k, v in given.items():
-        if not np.isfinite(v):
-            raise CatalogError(f"parameter '{k}' of {kind} '{name}' must be finite, got {v}")
-        if type(v) is int and (isinstance(params[k], bool) or v != params[k]):
-            raise CatalogError(
-                f"parameter '{k}' of {kind} '{name}' must be an integer, got {params[k]!r}")
+    given = {}
+    for k, v in params.items():
+        convert = float if defaults[k] is None else type(defaults[k])
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise CatalogError(f"invalid parameters for {kind} '{name}': '{k}' must be "
+                               f"{'an integer' if convert is int else 'a number'}, got {v!r}")
+        try:
+            given[k] = convert(v)
+        except (ValueError, OverflowError) as exc:
+            raise CatalogError(f"invalid parameters for {kind} '{name}': {exc}") from exc
+        if convert is int and given[k] != v:
+            raise CatalogError(f"parameter '{k}' of {kind} '{name}' must be an integer, got {v!r}")
+        if convert is float and not np.isfinite(given[k]):
+            raise CatalogError(f"parameter '{k}' of {kind} '{name}' must be finite, got {given[k]}")
     return build(**dict(defaults, **given))

@@ -139,6 +139,14 @@ def _numbers(v, name, length=None):
     return [float(x) for x in _check(v, name, ok, f"a list of {length or 'one or more'} numbers")]
 
 
+def _perturbations(v, name):
+    """A list of [l, m, amplitude] triples with integers l, m, as (l, m, amplitude) tuples."""
+    _check(v, name, isinstance(v, list) and all(isinstance(t, list) and len(t) == 3 for t in v),
+           "a list of [l, m, amplitude] triples")
+    return [(_integer(l, f"{name}[{i}].l"), _integer(m, f"{name}[{i}].m"),
+             _number(a, f"{name}[{i}].amplitude")) for i, (l, m, a) in enumerate(v)]
+
+
 def _fields(obj, name, checks):
     """The entries of obj, each validated by its check; a key without a check is an error."""
     for k in obj:
@@ -152,6 +160,11 @@ _FLOW_FIELDS = {f.name: {int: _integer, float: _number}[f.type]
                 for f in dataclasses.fields(FlowConfig) if f.name != "mode"}
 _LAPSE_FIELDS = {"l": _integer, "m": _integer, "amplitude": _number,
                  "seed": _integer, "lmax": _integer}
+_HYPOTHESIS_FIELDS = {"beta": _number, "lambda": _number}
+_SURFACE_FIELDS = {
+    "sphere_r": _number, "round_r": _number,
+    "mesh_file": lambda v, name: _check(v, name, isinstance(v, str), "a file name"),
+    "center": lambda v, name: _numbers(v, name, 3), "perturbations": _perturbations}
 
 
 class RunConfig:
@@ -180,9 +193,9 @@ class RunConfig:
         self.Lambda = None if raw.get("Lambda") is None else _number(raw["Lambda"], "Lambda")
         self.lambda_el = (None if raw.get("lambda_el") is None
                           else _number(raw["lambda_el"], "lambda_el"))
-        hyp = _object(raw.get("hypothesis") or {}, "hypothesis")
-        self.hypothesis = (_number(hyp.get("beta", 0.25), "hypothesis.beta"),
-                           _number(hyp.get("lambda", 0.0), "hypothesis.lambda")) if hyp else None
+        hyp = _fields(_object(raw.get("hypothesis") or {}, "hypothesis"), "hypothesis",
+                      _HYPOTHESIS_FIELDS)
+        self.hypothesis = (hyp.get("beta", 0.25), hyp.get("lambda", 0.0)) if hyp else None
         if task == "sweep":
             sweep = _object(raw.get("sweep"), "sweep")
             self.model = sweep.get("model")
@@ -208,22 +221,14 @@ class RunConfig:
             _check(self.s_values, "varcheck.s_values", 0.0 not in self.s_values, "nonzero")
 
     def _validate_surface(self, raw):
-        surf = _object(raw.get("surface"), "surface")
+        surf = _fields(_object(raw.get("surface"), "surface"), "surface", _SURFACE_FIELDS)
         sources = [k for k in ("sphere_r", "mesh_file", "round_r") if k in surf]
         _check(surf, "surface", len(sources) == 1,
                "an object with exactly one of 'sphere_r', 'mesh_file', 'round_r'")
         self.source = sources[0]
-        if self.source == "mesh_file":
-            self.source_value = _check(surf["mesh_file"], "surface.mesh_file",
-                                       isinstance(surf["mesh_file"], str), "a file name")
-        else:
-            self.source_value = _number(surf[self.source], f"surface.{self.source}")
-        self.center = _numbers(surf.get("center", [0.0, 0.0, 0.0]), "surface.center", 3)
-        try:
-            self.perturbations = [(int(l), int(m), float(a))
-                                  for (l, m, a) in surf.get("perturbations", [])]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'surface.perturbations' must be [l, m, amplitude] triples: {exc}")
+        self.source_value = surf[self.source]
+        self.center = surf.get("center", [0.0, 0.0, 0.0])
+        self.perturbations = surf.get("perturbations", [])
 
     def build(self):
         """The run's space, grid and surface mesh."""

@@ -207,7 +207,7 @@ def _completed(space, stage):
     X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
 
     # g^{-1} is the area stage's, already checked; g is not evaluated again
-    dg = _derivative(space, space.dmetric_fn, space.metric_fn, X)
+    dg = _derivative(space.dmetric_fn, space.metric_fn, X)
     batch = X.shape[:-1]
 
     g2 = _sym2(g_tt, g_tp, g_pp)

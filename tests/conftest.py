@@ -43,11 +43,10 @@ def paraboloid():
 
 
 def fd_space(space):
-    """space without its own derivatives or Ricci tensor, so dg, d2g and dk are
+    """space without its own derivatives or Ricci tensor, so dg, dk and d2g are
     central differences and Ric is the contraction of the Riemann tensor
     formed from them."""
-    return dataclasses.replace(space, dmetric_fn=None, d2metric_fn=None, dk_fn=None,
-                               ricci_fn=None)
+    return dataclasses.replace(space, dmetric_fn=None, dk_fn=None, ricci_fn=None)
 
 
 def random_points(rng, n, rmin=0.5, rmax=3.0):

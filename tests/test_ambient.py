@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qll.ambient as amb
 from conftest import fd_space, random_points
+from curvature_oracle import exact_metric
 from qll.ambient import (CATALOG, catalog, christoffels_at, constraint_data_at, curvature_at,
                          nabla_k_at)
 from qll.errors import CatalogError, ChartDomainError, GeometryError
@@ -67,28 +68,23 @@ CATALOG_SHELLS = {
 }
 
 
-@pytest.mark.parametrize("name,ricci", [(n, "closed") for n in CATALOG_SHELLS]
-                         + [("hyperboloid", "fd"), ("schwarzschild", "d2g"),
-                            ("hemisphere", "d2g")],
-                         ids=list(CATALOG_SHELLS) + ["fd-hyperboloid", "d2g-schwarzschild",
-                                                     "d2g-hemisphere"])
-def test_ricci_is_riemann_contraction(name, ricci):
-    # .ricci is the space's closed form, or the contraction R^a_bad of the
-    # Riemann tensor from the space's own d2g ("d2g") or from central
-    # differences ("fd"); .riemann always comes from the full formula, so
-    # the closed forms are checked against it
+@pytest.mark.parametrize("name", list(CATALOG_SHELLS))
+def test_ricci_is_riemann_contraction(name):
+    # curvature_at forms R_abcd from the closed-form Ric by the 3-d identity;
+    # the oracle is the full Riemann formula fed with exact d2g, and its
+    # contraction R^a_bad must be the closed-form Ric
     params, shell, has_origin = CATALOG_SHELLS[name]
     space = catalog(name, **params)
-    assert space.ricci_fn is not None
-    if ricci == "fd":
-        space = fd_space(space)
-    elif ricci == "d2g":
-        space = dataclasses.replace(space, ricci_fn=None)
+    metric, d2metric = exact_metric(name, **params)
     pts = random_points(np.random.default_rng(2), 8, *shell)
     if has_origin:
         pts = np.concatenate([pts, np.zeros((1, 3))])
     cv = curvature_at(space, pts)
-    ric = np.einsum("...ab,...acbd->...cd", cv.inv_metric, cv.riemann)
+    assert np.max(np.abs(metric(pts) - cv.metric)) < 1e-14 * np.max(np.abs(cv.metric))
+    riem_up = amb._riemann_up(cv.inv_metric, cv.christoffels, space.dmetric_fn(pts), d2metric(pts))
+    riemann = np.einsum("...ae,...ebcd->...abcd", cv.metric, riem_up)
+    assert np.max(np.abs(riemann - cv.riemann)) < 1e-11
+    ric = np.einsum("...ab,...acbd->...cd", cv.inv_metric, riemann)
     assert np.max(np.abs(ric - cv.ricci)) < 1e-11
 
 
@@ -242,12 +238,11 @@ def test_catalog_scale_or_Lambda():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_entries_supply_their_derivatives(name):
-    # a missing function would move the space to central differences (or to
-    # the generic Ricci kernel) without any error, and central-difference d2g
-    # costs 36 metric evaluations per point
+    # a missing function would move the space to central differences without
+    # any error; without ricci_fn, Ric would come from central-difference d2g,
+    # 36 metric evaluations per point
     space = catalog(name)
-    assert space.dmetric_fn is not None and space.d2metric_fn is not None
-    assert space.ricci_fn is not None
+    assert space.dmetric_fn is not None and space.ricci_fn is not None
     assert space.k_fn is None or space.dk_fn is not None
 
 
@@ -262,6 +257,21 @@ def test_catalog_rejects_non_finite_parameters():
             catalog("schwarzschild", m=value)
         with pytest.raises(CatalogError, match="'m'.*finite"):
             radial_model("schwarzschild", m=value)
+
+
+def test_catalog_parameters_are_real_numbers():
+    # a bool or a string is not converted (a = True used to build a = 1.0)
+    from qll.highdim import radial_model
+    for value in (True, False, "2.5"):
+        with pytest.raises(CatalogError, match="'a' must be a number"):
+            catalog("hyperboloid", a=value)
+        with pytest.raises(CatalogError, match="'Lambda' must be a number"):
+            catalog("hemisphere", Lambda=value)
+        with pytest.raises(CatalogError, match="'m' must be a number"):
+            radial_model("schwarzschild", m=value)
+    assert catalog("hyperboloid", a=2).params == {"a": 2.0}
+    assert radial_model("schwarzschild", n=10 ** 30).n == 10 ** 30   # no float check of an int
+    assert catalog("hyperboloid", a=np.float64(2.5)).params == {"a": 2.5}
 
 
 def test_reissner_nordstrom_field_strength():
@@ -365,7 +375,7 @@ def test_missing_second_derivatives_are_differenced():
     # dg is the space's own function and d2g comes from central differences;
     # the tolerance is test_fd_matches_analytic_at_1e4's
     analytic = catalog("schwarzschild")
-    space = dataclasses.replace(analytic, d2metric_fn=None, ricci_fn=None)
+    space = dataclasses.replace(analytic, ricci_fn=None)
     pts = random_points(np.random.default_rng(11), 12, 2.5, 6.0)
     got, ref = constraint_data_at(space, pts), constraint_data_at(analytic, pts)
     for name in ("ricci", "scalar", "mu", "dec_margin"):
@@ -379,13 +389,14 @@ def test_fd_steps_are_per_point():
     # same batch changes none of its differenced derivatives
     p = np.array([[2.5, 0.3, 0.1]])
     batch = np.concatenate([p, [[40.0, 0.0, 0.0]]])
+    orders = {1: lambda fn, x: amb._derivative(None, fn, x),
+              2: lambda fn, x: amb._fd_second(fn, x, amb._fd_steps(x)[1])}
     for name, fn, point, far in (("schwarzschild", "metric_fn", p, batch[1]),
                                  ("paraboloid", "k_fn", 0.2 * p, [1.9, 0.0, 0.0])):
-        space = fd_space(catalog(name))
-        for order in (1, 2):
-            alone = amb._derivative(space, None, getattr(space, fn), point, order)
-            batched = amb._derivative(space, None, getattr(space, fn),
-                                      np.concatenate([point, [far]]), order)
+        fn = getattr(catalog(name), fn)
+        for order, differences in orders.items():
+            alone = differences(fn, point)
+            batched = differences(fn, np.concatenate([point, [far]]))
             assert np.array_equal(alone[0], batched[0]), (name, order)
     # the Ricci tensor from those differences is as accurate in the batch as alone
     space, exact = fd_space(catalog("schwarzschild")), catalog("schwarzschild")

@@ -312,6 +312,15 @@ def broken_sweep(**fields):
              "'a'", "finite"),
     # an integer model parameter is not truncated (n = 3.7 used to run as n = 3)
     lambda: (*broken_sweep(params={"n": 3.7, "m": 1.0}, r_values=[3.0]), "'n'", "integer"),
+    # a float catalog parameter is a number, not a bool (a = true used to run as a = 1)
+    lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": True}}), "'a'"),
+    # harmonic degree and order are integers ([2.7, true, 0.05] used to run as [2, 1, 0.05])
+    lambda: (*broken("eval", surface={"round_r": 1.0, "perturbations": [[2.7, True, 0.05]]}),
+             "surface.perturbations[0].l"),
+    # unknown keys in surface and hypothesis name the key
+    lambda: (*broken("eval", surface={"sphere_r": 1.0, "centre": [0.1, 0.0, 0.0]}),
+             "surface.centre"),
+    lambda: (*broken("eval", hypothesis={"betta": 0.3}), "hypothesis.betta"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

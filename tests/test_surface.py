@@ -212,9 +212,9 @@ CATALOG_SURFACES = {
 
 @pytest.mark.parametrize("name", sorted(CATALOG_SURFACES))
 def test_fill_without_closed_form_ricci_matches_catalog(grid24, name):
-    # a space without ricci_fn contracts Ric from the Riemann tensor of its
-    # own d2g; on a surface it must give the closed-form fill to the
-    # tolerance of test_ricci_is_riemann_contraction
+    # a space without ricci_fn contracts Ric from the Riemann tensor of
+    # central-difference d2g; on a surface it must give the closed-form fill
+    # to the tolerance of test_missing_second_derivatives_are_differenced
     params, r0 = CATALOG_SURFACES[name]
     space = catalog(name, **params)
     mesh = sf.round_sphere_with_harmonics(grid24, r0, [(2, 1, 0.05), (3, -2, 0.03)],
@@ -222,7 +222,9 @@ def test_fill_without_closed_form_ricci_matches_catalog(grid24, name):
     ref = sf.induced_geometry(space, mesh).ambient
     got = sf.induced_geometry(dataclasses.replace(space, ricci_fn=None), mesh).ambient
     for field in ("ricci", "scalar", "mu", "dec_margin"):
-        assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-11, field
+        exact = getattr(ref, field)
+        scale = np.max(np.abs(exact)) + 1.0
+        assert np.max(np.abs(getattr(got, field) - exact)) / scale < 1e-5, field
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -251,7 +253,7 @@ def _counted_space(space, names, calls):
 
 def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypatch):
     # the catalog's closed-form Ricci tensor replaces d2g in the field fill
-    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "d2metric_fn", "ricci_fn", "k_fn", "dk_fn",
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "ricci_fn", "k_fn", "dk_fn",
                            "gauss_curvature"), 0)
     space = _counted_space(hyperboloid, list(calls)[:-1], calls)
     intrinsic = sf._gauss_curvature_intrinsic
@@ -267,7 +269,7 @@ def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypa
     assert calls["gauss_curvature"] == 0
     energy_report(space, geom)
     sf.gauss_equation_check(space, geom)
-    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "d2metric_fn": 0, "ricci_fn": 1,
+    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "ricci_fn": 1,
                      "k_fn": 1, "dk_fn": 1, "gauss_curvature": 1}
 
 

@@ -252,7 +252,7 @@ def _counted_space(space, names, calls):
 
 
 def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypatch):
-    # the catalog's closed-form Ricci tensor replaces d2g in the field fill
+    # the field fill reads the catalog's closed-form Ricci tensor, once per surface
     calls = dict.fromkeys(("metric_fn", "dmetric_fn", "ricci_fn", "k_fn", "dk_fn",
                            "gauss_curvature"), 0)
     space = _counted_space(hyperboloid, list(calls)[:-1], calls)

@@ -14,6 +14,14 @@ projected residual is smoothed by the SPD spherical-harmonic filter
 1 / (1 + tau (l(l+1))^2) before stepping.  This keeps every descent and
 fixed-point property (the filter is positive on resolved modes) while
 removing the stiffness of the highest modes.
+
+The radius rate that realises the smoothed speed is then projected onto
+the same harmonic band (the grid's cached HarmonicTransform with unit
+weights).  On the pole rows the rate carries content at phi wavenumbers
+above the band, which the smoothed speed cannot control; the projection
+drops it, so every accepted step changes the radius inside the band.  The
+stop test still reads the full L2 residual, and the line search still
+accepts a trial only if the functional does not rise, so F stays monotone.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +32,6 @@ from . import surface as sf
 from .criticality import MODES, _lambda_star, radial_rate, residual_report
 from .errors import ChartDomainError, FlowError, GeometryError, NumericError
 from .functionals import hawking_functional
-from .harmonics import HarmonicTransform
 from .surface import SurfaceMesh
 
 FOUR_PI = 4.0 * np.pi
@@ -103,7 +110,8 @@ def run_flow(space, config, initial_mesh):
         raise FlowError(f"initial mesh cannot reach the target area: {exc}",
                         state=state) from exc
 
-    transform = HarmonicTransform(grid)
+    transform = grid.harmonic_transform
+    ones = np.ones(transform.lmax + 1)
     ell = np.arange(transform.lmax + 1, dtype=float)
     damping = 1.0 / (1.0 + SMOOTHING_TAU * (ell * (ell + 1.0)) ** 2)
     rbar4 = (target / FOUR_PI) ** 2
@@ -128,7 +136,7 @@ def run_flow(space, config, initial_mesh):
         # the lambda* projection alpha -> alpha - H int(H alpha) / int(H^2)
         # enforces the area constraint int(H alpha) dmu = 0
         speed = speed + _lambda_star(geom, speed) * geom.H
-        rate = radial_rate(geom, speed)
+        rate = transform.filtered(radial_rate(geom, speed), ones)
 
         accepted = False
         degenerate_only = True

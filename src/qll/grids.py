@@ -14,9 +14,12 @@ components in the (theta, phi) coordinate basis.  Differentiation in phi
 uses 4th-order periodic central differences.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NumericError
+from .harmonics import HarmonicTransform
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,6 +121,12 @@ class SphereGrid:
         self.d2th_nhat = -self.nhat
         self.dthph_nhat = pack(-ct * sp, ct * cp, zeros)
         self.d2ph_nhat = pack(-st * cp, -st * sp, zeros)
+
+    # -- spherical-harmonic analysis, built once per grid
+
+    @cached_property
+    def harmonic_transform(self):
+        return HarmonicTransform(self)
 
     # -- quadrature
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import surface as sf
 from .ambient import _lookup, catalog
-from .errors import CatalogError, GeometryError, HypothesisError
+from .errors import CatalogError, GeometryError, HypothesisError, NumericError
 from .functionals import hawking_energy
 from .grids import SphereGrid
 
@@ -170,7 +170,24 @@ class RadialSphereReport:
 
 
 def radial_sphere(model, r, lam=0.0):
-    """Closed-form report for the coordinate sphere of radius r."""
+    """Closed-form report for the coordinate sphere of radius r.
+
+    A value out of floating-point range (a large dimension n overflows r**n
+    and Gamma(n/2)) is a NumericError that names the model, n and r.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            report = _closed_form(model, r, lam)
+        finite = all(np.isfinite(v) for v in report.as_dict().values() if isinstance(v, float))
+    except (OverflowError, FloatingPointError):
+        finite = False
+    if not finite:
+        raise NumericError(f"radial model '{model.name}' at n = {model.n}, r = {r}: "
+                           "a closed-form value is out of floating-point range")
+    return report
+
+
+def _closed_form(model, r, lam):
     model.check_radius(r)
     n = model.n
     phi = model.phi(r)

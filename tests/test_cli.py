@@ -321,6 +321,9 @@ def broken_sweep(**fields):
     lambda: (*broken("eval", surface={"sphere_r": 1.0, "centre": [0.1, 0.0, 0.0]}),
              "surface.centre"),
     lambda: (*broken("eval", hypothesis={"betta": 0.3}), "hypothesis.betta"),
+    # r ** (n - 2) overflows at n = 1000: a NumericError naming the model, n and r
+    lambda: (*broken_sweep(n=1000, params={"m": 1.0}, r_values=[3.0]),
+             "'schwarzschild'", "n = 1000", "r = 3.0"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

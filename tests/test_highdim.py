@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qll import highdim as hd
 from qll import surface as sf
 from qll.ambient import catalog
-from qll.errors import CatalogError, GeometryError
+from qll.errors import CatalogError, GeometryError, NumericError
 from qll.functionals import f_integrals
 from qll.grids import SphereGrid
 
@@ -118,6 +119,14 @@ def test_domain_checks():
         hd.euclidean_model(2)
     with pytest.raises(CatalogError):  # k without its analytic derivatives
         dataclasses.replace(hd.hyperboloid_model(1.0), dk_tan=None)
+    # out of floating-point range: the profile (r ** (n - 2)), Gamma(n/2), or the energies
+    for model, r in ((hd.schwarzschild_model(1000, 1.0), 3.0), (hd.euclidean_model(400), 1.0),
+                     (hd.euclidean_model(3), 1e150)):
+        named = re.escape(f"'{model.name}' at n = {model.n}, r = {r}")
+        with pytest.raises(NumericError, match=named):
+            hd.radial_sphere(model, r)
+    with pytest.raises(NumericError, match="out of floating-point range"):
+        hd.radial_sphere(dataclasses.replace(hd.euclidean_model(3), phi=lambda r: np.nan), 1.0)
 
 
 @pytest.mark.parametrize("name,params,r", [

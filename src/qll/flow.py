@@ -21,7 +21,21 @@ weights).  On the pole rows the rate carries content at phi wavenumbers
 above the band, which the smoothed speed cannot control; the projection
 drops it, so every accepted step changes the radius inside the band.  The
 stop test still reads the full L2 residual, and the line search still
-accepts a trial only if the functional does not rise, so F stays monotone.
+accepts a trial only if the functional does not rise, so F stays monotone
+on each grid.
+
+A flow descends first on the grid's coarse grid, (ntheta//2, 2*(nphi//4)),
+when that has at least COARSE_MIN_NTHETA rows and the initial radius lies
+in the coarse band (a restrict-then-prolong round trip through the harmonic
+coefficients reproduces it to BAND_RTOL).  The coarse stage has the same
+mode, residual_tol and target area (the area on the requested grid); its
+mesh is then prolonged by zero-padding the coefficients, which is exact
+because every accepted step is band-limited, and the same descent continues
+on the requested grid, whose stop test gives every verdict.  max_steps
+bounds both stages together, the history records each step's grid, and the
+requested grid's step numbers continue from the coarse count.  If the
+two-stage solve raises, the flow is solved directly from the initial mesh,
+so the coarse stage adds no failure mode.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +44,7 @@ import numpy as np
 
 from . import surface as sf
 from .criticality import MODES, _lambda_star, radial_rate, residual_report
-from .errors import ChartDomainError, FlowError, GeometryError, NumericError
+from .errors import ChartDomainError, FlowError, GeometryError, NumericError, QLLError
 from .functionals import hawking_functional
 from .surface import SurfaceMesh
 
@@ -40,6 +54,8 @@ STEP_GROWTH = 1.2                     # step-size growth after an accepted step
 BACKTRACK_FACTOR = 0.5                # step-size cut after a rejected trial
 MAX_BACKTRACKS = 40                   # rejected trials before a step stagnates
 SMOOTHING_TAU = 0.05                  # damping 1 / (1 + tau (l(l+1))^2)
+COARSE_MIN_NTHETA = 16                # fewest theta rows the coarse stage runs on
+BAND_RTOL = 1e-12                     # round-trip error of a radius in the coarse band
 
 
 @dataclass
@@ -67,6 +83,7 @@ class FlowRecord:
     area: float
     residual: float
     step_size: float
+    grid: str                         # the step's grid, e.g. "24x48"
 
 
 @dataclass
@@ -95,18 +112,58 @@ def _rescale_to_area(space, stage, target):
     return sf.induced_geometry(space, stage)
 
 
+def _restricted(mesh):
+    """mesh on its grid's coarse grid, or None when the coarse stage does not run.
+
+    The stage runs when the coarse grid has at least COARSE_MIN_NTHETA rows and
+    the radius lies in the coarse band: a restrict-then-prolong round trip
+    reproduces it to BAND_RTOL relative.
+    """
+    grid = mesh.grid
+    if grid.ntheta // 2 < COARSE_MIN_NTHETA or grid.nphi < 16:   # SphereGrid needs nphi >= 8
+        return None
+    try:
+        coarse = mesh.resampled(grid.coarse_grid)
+        round_trip = coarse.resampled(grid).radius
+    except GeometryError:
+        return None
+    if np.max(np.abs(round_trip - mesh.radius)) > BAND_RTOL * np.max(mesh.radius):
+        return None
+    return coarse
+
+
 def run_flow(space, config, initial_mesh):
     grid = initial_mesh.grid
     stage = sf._area_stage(space, initial_mesh)
     target = stage.area if config.target_area is None else config.target_area
     if abs(stage.area - target) > 0.5 * target:
         raise ValueError("initial area differs from target_area by more than 50%")
+    coarse = _restricted(initial_mesh)
+    if coarse is not None:
+        try:
+            state = _descend(space, config, sf._area_stage(space, coarse), target, [])
+            fine = sf._area_stage(space, state.mesh.resampled(grid))
+            return _descend(space, config, fine, target, state.history)
+        except QLLError:
+            pass                      # the direct solve below gives the verdict
+    return _descend(space, config, stage, target, [])
+
+
+def _descend(space, config, stage, target, history):
+    """The descent on the grid of the area stage's mesh, appended to history.
+
+    Step numbers continue from history's last record, so config.max_steps
+    bounds the steps of every stage together.
+    """
+    grid = stage.mesh.grid
+    label = f"{grid.ntheta}x{grid.nphi}"
+    step = history[-1].step if history else 0
     try:
         geom = _rescale_to_area(space, stage, target)
     except (ChartDomainError, GeometryError, NumericError) as exc:
-        state = FlowState(initial_mesh, "failed", 0,
+        state = FlowState(stage.mesh, "failed", step,
                           hawking_functional(sf.induced_geometry(space, stage)),
-                          stage.area, float("nan"), [])
+                          stage.area, float("nan"), history)
         raise FlowError(f"initial mesh cannot reach the target area: {exc}",
                         state=state) from exc
 
@@ -119,13 +176,11 @@ def run_flow(space, config, initial_mesh):
     dt_max = 16.0 * INITIAL_STEP * rbar4
 
     functional = hawking_functional(geom)
-    history = []
     status = "max_steps"
-    step = 0
     while True:
         rep = residual_report(space, geom, config.mode)
         history.append(FlowRecord(step, functional, geom.area, rep.l2_residual,
-                                  dt / rbar4))
+                                  dt / rbar4, label))
         if rep.l2_residual <= config.residual_tol:
             status = "converged"
             break

@@ -122,11 +122,16 @@ class SphereGrid:
         self.dthph_nhat = pack(-ct * sp, ct * cp, zeros)
         self.d2ph_nhat = pack(-st * cp, -st * sp, zeros)
 
-    # -- spherical-harmonic analysis, built once per grid
+    # -- spherical-harmonic analysis and the half grid, built once per grid
 
     @cached_property
     def harmonic_transform(self):
         return HarmonicTransform(self)
+
+    @cached_property
+    def coarse_grid(self):
+        """The half grid (ntheta//2, 2*(nphi//4)) of the flow's coarse stage."""
+        return SphereGrid(self.ntheta // 2, 2 * (self.nphi // 4))
 
     # -- quadrature
 

@@ -1,8 +1,9 @@
 """Real spherical harmonics on SphereGrid nodes.
 
-Provides pointwise evaluation (surface perturbations, test lapses) and a
+Provides pointwise evaluation (surface perturbations, test lapses), a
 Gauss-Legendre-exact analysis/synthesis pair used to filter fields by
-spherical-harmonic degree.
+spherical-harmonic degree, and resampling between grids through the
+coefficients.
 """
 
 import numpy as np
@@ -88,6 +89,22 @@ class HarmonicTransform:
         for m in range(self.mmax + 1):
             coeffs[m] = coeffs[m] * damping[m:self.lmax + 1]
         return self.synthesize(coeffs)
+
+
+def resample(F, source, target):
+    """F on grid source carried to grid target through its harmonic coefficients.
+
+    Coefficients outside the target's band are dropped (restriction) and those
+    outside the source's band are zero (prolongation), so a field inside both
+    bands is carried exactly, to roundoff.
+    """
+    src, dst = source.harmonic_transform, target.harmonic_transform
+    coeffs = src.analyze(F)
+    out = [np.zeros(dst.lmax - m + 1, dtype=complex) for m in range(dst.mmax + 1)]
+    for m in range(min(src.mmax, dst.mmax) + 1):
+        n = min(src.lmax, dst.lmax) - m + 1
+        out[m][:n] = coeffs[m][:n]
+    return dst.synthesize(out)
 
 
 def band_limited_field(grid, lmax, rng, scale=1.0):

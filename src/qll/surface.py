@@ -18,7 +18,7 @@ import numpy as np
 from .ambient import _derivative, _fields, _first_kind
 from .errors import GeometryError
 from .grids import SphereGrid
-from .harmonics import real_harmonic_grid
+from .harmonics import real_harmonic_grid, resample
 
 SQRT2 = np.sqrt(2.0)
 
@@ -46,6 +46,10 @@ class SurfaceMesh:
 
     def scaled(self, factor):
         return SurfaceMesh(self.grid, self.radius * factor, self.center)
+
+    def resampled(self, grid):
+        """The same surface on another grid, its radius carried by harmonics.resample."""
+        return SurfaceMesh(grid, resample(self.radius, self.grid, grid), self.center)
 
 
 def coordinate_sphere(grid, r, center=(0.0, 0.0, 0.0)):

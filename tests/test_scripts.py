@@ -3,6 +3,7 @@ they document."""
 
 import ast
 import csv
+import json
 import os
 import re
 import subprocess
@@ -37,6 +38,21 @@ def test_readme_quick_start():
     assert values["state.status, state.step_index"][0] == "converged"
 
 
+def test_readme_flow_config(tmp_path):
+    from qll.cli import main
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = [json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", fh.read(), re.M | re.S)]
+    config = next(b for b in blocks if "flow" in b)
+    config["output"]["dir"] = str(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["flow", "--config", str(tmp_path / "run.json")]) == 0
+    assert json.loads((tmp_path / "flow.json").read_text())["status"] == "converged"
+    with open(tmp_path / "flow_history.csv", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["step"] == "0"
+    assert float(rows[0]["residual"]) > 1e-5 >= float(rows[-1]["residual"])
+
+
 def run_script(cwd, name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
@@ -46,13 +62,6 @@ def run_script(cwd, name, *args):
 
 
 def test_readme_scripts(tmp_path):
-    demo = run_script(tmp_path, "flow_demo.py", "0.05", "16", "32")
-    assert demo.returncode == 0, demo.stderr
-    lines = demo.stdout.splitlines()
-    assert lines[0].startswith("step    0  F = ")
-    assert "status: converged after" in demo.stdout
-    assert os.listdir(tmp_path) == []
-
     sweep = run_script(tmp_path, "energy_sweep.py", "schwarzschild", "out.csv")
     assert sweep.returncode == 0, sweep.stderr
     with open(tmp_path / "out.csv", encoding="ascii") as fh:

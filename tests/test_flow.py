@@ -120,11 +120,12 @@ ZONAL_SEEDS = {
     "hyperbolic-willmore-zonal": ("hyperbolic", {"a": 1.0}, 1.0, "willmore", [(2, 0, 0.03)]),
     "hyperboloid-hawking-zonal": ("hyperboloid", {"a": 1.0}, 1.0, "hawking", [(2, 0, 0.02)]),
 }
+FLOW_SOLVE_SEEDS = {**ZONAL_SEEDS, **MIXED_SEEDS}
 
 
-def seed_problem(seed, shape, seeds=MIXED_SEEDS):
+def seed_problem(seed, shape):
     """(space, config, initial mesh) of a flow_solve seed on a grid of this shape."""
-    name, params, r0, mode, perts = seeds[seed]
+    name, params, r0, mode, perts = FLOW_SOLVE_SEEDS[seed]
     config = flow.FlowConfig(mode=mode, target_area=4.0 * np.pi * r0 ** 2, residual_tol=1e-5)
     mesh = sf.round_sphere_with_harmonics(SphereGrid(*shape), r0, perts)
     return catalog(name, **params), config, mesh
@@ -162,8 +163,8 @@ def test_mixed_seed_flow_converges(seed, shape):
 
 def test_accepted_step_is_band_limited(grid32, euclidean):
     # one accepted step of the descent on a grid, from a band-limited mesh,
-    # changes the radius only inside the harmonic band, although the rate that radial_rate realises
-    # on the pole rows is not band-limited
+    # changes the radius only inside the harmonic band, although the rate
+    # that radial_rate realises on the pole rows is not band-limited
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 2, 0.03), (3, -1, 0.02)])
     target = 4.0 * np.pi
     stage = sf._area_stage(euclidean, mesh)
@@ -250,10 +251,9 @@ def test_coarse_stage_failure_falls_back_to_the_direct_solve(grid32, euclidean, 
     assert [rec.step for rec in state.history] == list(range(state.step_index + 1))
 
 
-@pytest.mark.parametrize("seed", sorted(ZONAL_SEEDS) + sorted(MIXED_SEEDS))
+@pytest.mark.parametrize("seed", sorted(FLOW_SOLVE_SEEDS))
 def test_coarse_stage_reaches_the_direct_solution(seed):
-    seeds = ZONAL_SEEDS if seed in ZONAL_SEEDS else MIXED_SEEDS
-    space, config, mesh = seed_problem(seed, (48, 96), seeds)
+    space, config, mesh = seed_problem(seed, (48, 96))
     state = flow.run_flow(space, config, mesh)
     direct = flow._descend(space, config, sf._area_stage(space, mesh), config.target_area, [])
     assert state.history[0].grid == "24x48"

@@ -2,7 +2,7 @@ import numpy as np
 
 from qll.grids import SphereGrid
 from qll.harmonics import (HarmonicTransform, band_limited_field,
-                           real_harmonic_grid)
+                           real_harmonic_grid, resample)
 
 
 def sphere_inner(grid, f, g):
@@ -50,3 +50,17 @@ def test_filtered_is_positive_semidefinite():
     for _ in range(5):
         f = rng.normal(size=(16, 32))
         assert sphere_inner(grid, f, tr.filtered(f, damping)) >= -1e-12
+
+
+def test_resample_between_grids():
+    coarse, fine = SphereGrid(16, 32), SphereGrid(32, 64)
+    terms = [(2, 1, 0.3), (7, -5, -0.2), (15, 15, 0.1)]
+    on = {grid: sum(a * real_harmonic_grid(grid, l, m) for l, m, a in terms)
+          for grid in (coarse, fine)}
+    # inside both bands, prolongation and restriction are exact
+    assert np.max(np.abs(resample(on[coarse], coarse, fine) - on[fine])) < 1e-12
+    assert np.max(np.abs(resample(on[fine], fine, coarse) - on[coarse])) < 1e-12
+    # restriction drops a degree above the coarse band, in l or in m
+    for l, m in ((16, 0), (20, 17)):
+        above = real_harmonic_grid(fine, l, m)
+        assert np.max(np.abs(resample(on[fine] + above, fine, coarse) - on[coarse])) < 1e-12

@@ -21,8 +21,7 @@ weights).  On the pole rows the rate carries content at phi wavenumbers
 above the band, which the smoothed speed cannot control; the projection
 drops it, so every accepted step changes the radius inside the band.  The
 stop test still reads the full L2 residual, and the line search still
-accepts a trial only if the functional does not rise, so F stays monotone
-on each grid.
+accepts a trial only if the functional does not rise, so F stays monotone.
 
 A flow descends first on the grid's coarse grid, (ntheta//2, 2*(nphi//4)),
 when that has at least COARSE_MIN_NTHETA rows and the initial radius lies
@@ -32,10 +31,12 @@ mode, residual_tol and target area (the area on the requested grid); its
 mesh is then prolonged by zero-padding the coefficients, which is exact
 because every accepted step is band-limited, and the same descent continues
 on the requested grid, whose stop test gives every verdict.  max_steps
-bounds both stages together, the history records each step's grid, and the
-requested grid's step numbers continue from the coarse count.  If the
-two-stage solve raises, the flow is solved directly from the initial mesh,
-so the coarse stage adds no failure mode.
+bounds both stages together.  The history holds only the requested grid's
+records, so F is compared on one quadrature and stays monotone over it;
+their step numbers continue from the coarse stage's count (coarse_steps).
+If the coarse stage or the prolongation raises, the flow is solved directly
+from the initial mesh, so the coarse stage adds no failure mode; the
+requested grid's descent raises as a direct one does.
 """
 
 from dataclasses import dataclass, field
@@ -83,7 +84,6 @@ class FlowRecord:
     area: float
     residual: float
     step_size: float
-    grid: str                         # the step's grid, e.g. "24x48"
 
 
 @dataclass
@@ -94,7 +94,8 @@ class FlowState:
     functional: float
     area: float
     l2_residual: float
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)   # the requested grid's records
+    coarse_steps: int = 0             # steps taken on the coarse grid first
 
 
 def _rescale_to_area(space, stage, target):
@@ -141,23 +142,25 @@ def run_flow(space, config, initial_mesh):
     coarse = _restricted(initial_mesh)
     if coarse is not None:
         try:
-            state = _descend(space, config, sf._area_stage(space, coarse), target, [])
-            fine = sf._area_stage(space, state.mesh.resampled(grid))
-            return _descend(space, config, fine, target, state.history)
+            coarse_state = _descend(space, config, sf._area_stage(space, coarse), target)
+            fine = sf._area_stage(space, coarse_state.mesh.resampled(grid))
         except QLLError:
             pass                      # the direct solve below gives the verdict
-    return _descend(space, config, stage, target, [])
+        else:
+            state = _descend(space, config, fine, target, coarse_state.step_index)
+            state.coarse_steps = coarse_state.step_index
+            return state
+    return _descend(space, config, stage, target)
 
 
-def _descend(space, config, stage, target, history):
-    """The descent on the grid of the area stage's mesh, appended to history.
+def _descend(space, config, stage, target, step=0):
+    """The descent on the grid of the area stage's mesh, its first record numbered step.
 
-    Step numbers continue from history's last record, so config.max_steps
-    bounds the steps of every stage together.
+    config.max_steps bounds the step numbers, so it bounds the steps of every
+    stage together.
     """
     grid = stage.mesh.grid
-    label = f"{grid.ntheta}x{grid.nphi}"
-    step = history[-1].step if history else 0
+    history = []
     try:
         geom = _rescale_to_area(space, stage, target)
     except (ChartDomainError, GeometryError, NumericError) as exc:
@@ -180,7 +183,7 @@ def _descend(space, config, stage, target, history):
     while True:
         rep = residual_report(space, geom, config.mode)
         history.append(FlowRecord(step, functional, geom.area, rep.l2_residual,
-                                  dt / rbar4, label))
+                                  dt / rbar4))
         if rep.l2_residual <= config.residual_tol:
             status = "converged"
             break

@@ -152,14 +152,13 @@ def test_flow_task(tmp_path):
     mesh = sf.load_mesh(tmp_path / "final_mesh.txt")
     assert np.max(mesh.radius) - np.min(mesh.radius) < 1e-4
     history = (tmp_path / "flow_history.csv").read_text().splitlines()
-    assert history[0] == "step,functional,area,residual,step_size,grid"
+    assert history[0] == "step,functional,area,residual,step_size"
     rows = list(csv.DictReader(history))
-    # the coarse stage on the half grid, then the requested grid: one row per
-    # step plus each stage's initial surface, the step numbers running on
-    assert [json.loads(row["grid"]) for row in (rows[0], rows[-1])] == ["16x32", "32x64"]
-    assert len(rows) == summary["steps"] + 2
-    assert [int(row["step"]) for row in rows] == sorted(int(row["step"]) for row in rows)
-    assert int(rows[-1]["step"]) == summary["steps"]
+    # one row per step on the requested grid, its initial surface included;
+    # the step numbers run on from the coarse stage's steps on 16x32
+    steps = [int(row["step"]) for row in rows]
+    assert steps[0] > 0
+    assert steps == list(range(steps[0], summary["steps"] + 1))
     assert float(rows[-1]["residual"]) == summary["l2_residual"]
 
 

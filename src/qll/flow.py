@@ -23,20 +23,24 @@ drops it, so every accepted step changes the radius inside the band.  The
 stop test still reads the full L2 residual, and the line search still
 accepts a trial only if the functional does not rise, so F stays monotone.
 
-A flow descends first on the grid's coarse grid, (ntheta//2, 2*(nphi//4)),
-when that has at least COARSE_MIN_NTHETA rows and the initial radius lies
-in the coarse band (a restrict-then-prolong round trip through the harmonic
-coefficients reproduces it to BAND_RTOL).  The coarse stage has the same
-mode, residual_tol and target area (the area on the requested grid); its
-mesh is then prolonged by zero-padding the coefficients, which is exact
-because every accepted step is band-limited, and the same descent continues
-on the requested grid, whose stop test gives every verdict.  max_steps
-bounds both stages together.  The history holds only the requested grid's
-records, so F is compared on one quadrature and stays monotone over it;
-their step numbers continue from the coarse stage's count (coarse_steps).
-If the coarse stage or the prolongation raises, the flow is solved directly
-from the initial mesh, so the coarse stage adds no failure mode; the
-requested grid's descent raises as a direct one does.
+A flow descends first on a chain of coarser grids, each the half grid
+(ntheta//2, 2*(nphi//4)) of the one above it, as in the nested iteration of
+full multigrid: 48x96 -> 24x48 -> 12x24, 64x128 -> 32x64 -> 16x32.  A level
+joins the chain when it has at least COARSE_MIN_NTHETA rows and the radius
+on the level above lies in its band: the L2 share of that radius's harmonic
+coefficients outside the level's degrees and orders is at most BAND_RTOL.
+Every level solves the same problem (mode, residual_tol and the target area,
+which is the area on the requested grid): it is continued from the level
+below, its mesh prolonged by zero-padding the coefficients, which is exact
+because every accepted step is band-limited, and runs the same descent,
+whose stop test gives that level's verdict; the requested grid's gives the
+flow's.  max_steps bounds the steps of all levels together.  The history
+holds only the requested grid's records, so F is compared on one quadrature
+and stays monotone over it; their step numbers continue from the step count
+of all coarser levels (coarse_steps).  If a coarser level or a prolongation
+raises, the level above descends directly from its own restricted mesh, so
+the chain adds no failure mode; the requested grid's descent raises as a
+direct one does.
 """
 
 from dataclasses import dataclass, field
@@ -55,8 +59,8 @@ STEP_GROWTH = 1.2                     # step-size growth after an accepted step
 BACKTRACK_FACTOR = 0.5                # step-size cut after a rejected trial
 MAX_BACKTRACKS = 40                   # rejected trials before a step stagnates
 SMOOTHING_TAU = 0.05                  # damping 1 / (1 + tau (l(l+1))^2)
-COARSE_MIN_NTHETA = 16                # fewest theta rows the coarse stage runs on
-BAND_RTOL = 1e-12                     # round-trip error of a radius in the coarse band
+COARSE_MIN_NTHETA = 12                # fewest theta rows of a coarse level (8 rows stall)
+BAND_RTOL = 1e-12                     # L2 share of a radius outside a coarse level's band
 
 
 @dataclass
@@ -95,7 +99,7 @@ class FlowState:
     area: float
     l2_residual: float
     history: list = field(default_factory=list)   # the requested grid's records
-    coarse_steps: int = 0             # steps taken on the coarse grid first
+    coarse_steps: int = 0             # steps taken on the coarser levels first
 
 
 def _rescale_to_area(space, stage, target):
@@ -114,41 +118,41 @@ def _rescale_to_area(space, stage, target):
 
 
 def _restricted(mesh):
-    """mesh on its grid's coarse grid, or None when the coarse stage does not run.
+    """mesh on its grid's coarse grid, or None when that level does not join the chain.
 
-    The stage runs when the coarse grid has at least COARSE_MIN_NTHETA rows and
-    the radius lies in the coarse band: a restrict-then-prolong round trip
-    reproduces it to BAND_RTOL relative.
+    The level joins when it has at least COARSE_MIN_NTHETA rows and at most
+    BAND_RTOL of the radius (its L2 share) lies outside the level's band.
     """
     grid = mesh.grid
     if grid.ntheta // 2 < COARSE_MIN_NTHETA or grid.nphi < 16:   # SphereGrid needs nphi >= 8
         return None
     try:
-        coarse = mesh.resampled(grid.coarse_grid)
-        round_trip = coarse.resampled(grid).radius
+        coarse, share = mesh.restricted(grid.coarse_grid)
     except GeometryError:
         return None
-    if np.max(np.abs(round_trip - mesh.radius)) > BAND_RTOL * np.max(mesh.radius):
-        return None
-    return coarse
+    return coarse if share <= BAND_RTOL else None
 
 
 def run_flow(space, config, initial_mesh):
-    grid = initial_mesh.grid
     stage = sf._area_stage(space, initial_mesh)
     target = stage.area if config.target_area is None else config.target_area
     if abs(stage.area - target) > 0.5 * target:
         raise ValueError("initial area differs from target_area by more than 50%")
-    coarse = _restricted(initial_mesh)
+    return _solve(space, config, stage, target)
+
+
+def _solve(space, config, stage, target):
+    """The flow of the area stage's mesh on its grid, continued from the coarser levels."""
+    coarse = _restricted(stage.mesh)
     if coarse is not None:
         try:
-            coarse_state = _descend(space, config, sf._area_stage(space, coarse), target)
-            fine = sf._area_stage(space, coarse_state.mesh.resampled(grid))
+            below = _solve(space, config, sf._area_stage(space, coarse), target)
+            prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid))
         except QLLError:
-            pass                      # the direct solve below gives the verdict
+            pass                      # this level's direct descent below gives the verdict
         else:
-            state = _descend(space, config, fine, target, coarse_state.step_index)
-            state.coarse_steps = coarse_state.step_index
+            state = _descend(space, config, prolonged, target, below.step_index)
+            state.coarse_steps = below.step_index
             return state
     return _descend(space, config, stage, target)
 
@@ -157,7 +161,7 @@ def _descend(space, config, stage, target, step=0):
     """The descent on the grid of the area stage's mesh, its first record numbered step.
 
     config.max_steps bounds the step numbers, so it bounds the steps of every
-    stage together.
+    level together.
     """
     grid = stage.mesh.grid
     history = []

@@ -98,11 +98,34 @@ def resample(F, source, target):
     outside the source's band are zero (prolongation), so a field inside both
     bands is carried exactly, to roundoff.
     """
-    src, dst = source.harmonic_transform, target.harmonic_transform
-    coeffs = src.analyze(F)
+    return _synthesized(source.harmonic_transform.analyze(F), target.harmonic_transform)
+
+
+def restrict(F, source, target):
+    """F carried to the coarser grid target, and the L2 share of F outside its band.
+
+    The share ||F - P F|| / ||F||, with P the projection onto target's degrees
+    and orders, is read from the one analysis on source that also gives the
+    restriction, so it carries no synthesis roundoff.  Content outside source's
+    own band is out of reach of that analysis.
+    """
+    coeffs = source.harmonic_transform.analyze(F)
+    dst = target.harmonic_transform
+    outside = total = 0.0
+    for m, c in enumerate(coeffs):
+        weight = 1.0 if m == 0 else 2.0          # c_{l,-m} = conj(c_lm) for a real F
+        kept = dst.lmax - m + 1 if m <= dst.mmax else 0
+        outside += weight * np.vdot(c[kept:], c[kept:]).real
+        total += weight * np.vdot(c, c).real
+    share = np.sqrt(outside / total) if total > 0.0 else 0.0
+    return _synthesized(coeffs, dst), float(share)
+
+
+def _synthesized(coeffs, dst):
+    """The field of the coefficients on dst's grid, those outside its band dropped."""
     out = [np.zeros(dst.lmax - m + 1, dtype=complex) for m in range(dst.mmax + 1)]
-    for m in range(min(src.mmax, dst.mmax) + 1):
-        n = min(src.lmax, dst.lmax) - m + 1
+    for m in range(min(len(coeffs), dst.mmax + 1)):
+        n = min(len(coeffs[m]), dst.lmax - m + 1)
         out[m][:n] = coeffs[m][:n]
     return dst.synthesize(out)
 

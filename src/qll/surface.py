@@ -18,7 +18,7 @@ import numpy as np
 from .ambient import _derivative, _fields, _first_kind
 from .errors import GeometryError
 from .grids import SphereGrid
-from .harmonics import real_harmonic_grid, resample
+from .harmonics import real_harmonic_grid, resample, restrict
 
 SQRT2 = np.sqrt(2.0)
 
@@ -50,6 +50,12 @@ class SurfaceMesh:
     def resampled(self, grid):
         """The same surface on another grid, its radius carried by harmonics.resample."""
         return SurfaceMesh(grid, resample(self.radius, self.grid, grid), self.center)
+
+    def restricted(self, grid):
+        """The same surface on a coarser grid, and the L2 share of the radius
+        outside that grid's band (harmonics.restrict)."""
+        radius, share = restrict(self.radius, self.grid, grid)
+        return SurfaceMesh(grid, radius, self.center), share
 
 
 def coordinate_sphere(grid, r, center=(0.0, 0.0, 0.0)):
@@ -247,9 +253,11 @@ def _completed(space, stage):
     traceless_sq = np.maximum(m_tt ** 2 + 2.0 * m_tp * m_pt + m_pp ** 2, 0.0)
 
     k = space.k_tensor(X)
-    trk = np.einsum("...ab,...ab->...", ginv, k)
-    k_nu_nu = _dot(nu, (k @ nu[..., None])[..., 0])
-    P = trk - k_nu_nu
+    if space.time_symmetric:
+        trk = P = np.zeros(batch)             # k = 0: every k-term is an exact 0
+    else:
+        trk = np.einsum("...ab,...ab->...", ginv, k)
+        P = trk - _dot(nu, (k @ nu[..., None])[..., 0])
 
     geom = SurfaceGeometry(
         space=space, mesh=mesh, X=X, e_theta=e_t, e_phi=e_p, nu=nu,

@@ -60,13 +60,21 @@ def test_flow_config_validation():
 
 
 def test_default_target_area_is_the_initial_area(grid24, euclidean):
-    mesh = sf.round_sphere_with_harmonics(grid24, 1.3, [(2, 0, 0.05)])
+    # 16x32 has no coarse level, so its first record is the initial surface
+    mesh = sf.round_sphere_with_harmonics(SphereGrid(16, 32), 1.3, [(2, 0, 0.05)])
     area = sf.induced_geometry(euclidean, mesh).area
     assert abs(area - 4.0 * np.pi) > 1.0
     state = flow.run_flow(euclidean, flow.FlowConfig(max_steps=3), mesh)
+    assert state.coarse_steps == 0
     assert state.history[0].area == area
     assert state.step_index > 0
     assert abs(state.area - area) <= 1e-8 * area
+    # 24x48 descends on 12x24 first; its records keep the requested grid's area
+    mesh = sf.round_sphere_with_harmonics(grid24, 1.3, [(2, 0, 0.05)])
+    area = sf.induced_geometry(euclidean, mesh).area
+    state = flow.run_flow(euclidean, flow.FlowConfig(max_steps=3), mesh)
+    assert state.coarse_steps > 0
+    assert all(abs(rec.area - area) <= 1e-8 * area for rec in state.history)
 
 
 def test_flow_rejects_far_initial_area(grid32, euclidean):
@@ -194,12 +202,16 @@ def test_flows_on_one_grid_share_its_coarse_grid(euclidean, monkeypatch):
     init = SphereGrid.__init__
     monkeypatch.setattr(SphereGrid, "__init__",
                         lambda self, *shape: built.append(shape) or init(self, *shape))
-    grid = SphereGrid(32, 64)
-    mesh = sf.round_sphere_with_harmonics(grid, 1.0, [(2, 0, 0.05)])
-    for _ in range(2):
-        assert flow.run_flow(euclidean, willmore_config(), mesh).coarse_steps > 0
-    assert built == [(32, 64), (16, 32)]
-    assert grid.coarse_grid is grid.coarse_grid
+    # 32x64 has one coarse level (8 rows are below the floor), 48x96 two
+    for shape, chain in (((32, 64), [(32, 64), (16, 32)]),
+                         ((48, 96), [(48, 96), (24, 48), (12, 24)])):
+        built.clear()
+        grid = SphereGrid(*shape)
+        mesh = sf.round_sphere_with_harmonics(grid, 1.0, [(2, 0, 0.05)])
+        for _ in range(2):
+            assert flow.run_flow(euclidean, willmore_config(), mesh).coarse_steps > 0
+        assert built == chain
+        assert grid.coarse_grid is grid.coarse_grid
 
 
 def test_mesh_above_the_coarse_band_is_solved_directly(grid32, euclidean):
@@ -225,6 +237,15 @@ def test_max_steps_bounds_both_stages(grid32, euclidean):
     assert state.l2_residual == state.history[-1].residual > 1e-5
 
 
+def test_band_guard_admits_a_seed_mesh_at_128x256():
+    # a restrict-then-prolong round trip reads the transform's own roundoff,
+    # above BAND_RTOL at 128 rows; the share outside the band reads ~2e-13
+    _, _, mesh = seed_problem("schwarzschild-willmore", (128, 256))
+    coarse = flow._restricted(mesh)
+    assert coarse is not None
+    assert coarse.grid is mesh.grid.coarse_grid
+
+
 def test_coarse_stage_failure_falls_back_to_the_direct_solve(grid32, euclidean, monkeypatch):
     descend = flow._descend
     coarse = []
@@ -242,6 +263,35 @@ def test_coarse_stage_failure_falls_back_to_the_direct_solve(grid32, euclidean, 
     assert state.status == "converged"
     assert state.coarse_steps == 0
     assert [rec.step for rec in state.history] == list(range(state.step_index + 1))
+
+
+def test_max_steps_bounds_all_three_levels(grid48, euclidean):
+    mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
+    state = flow.run_flow(euclidean, willmore_config(max_steps=3), mesh)
+    assert state.status == "max_steps"
+    assert state.step_index == state.coarse_steps == 3
+    assert [rec.step for rec in state.history] == [3]
+
+
+def test_failure_on_the_coarsest_level_falls_back_to_the_level_above(grid48, euclidean,
+                                                                       monkeypatch):
+    # a FlowError on 12x24 makes 24x48 descend directly from its restricted
+    # mesh, and 48x96 continues from that solution
+    descend = flow._descend
+    calls = []
+
+    def failing_on_12_rows(space, config, stage, target, step=0):
+        calls.append((stage.mesh.grid.ntheta, step))
+        if stage.mesh.grid.ntheta == 12:
+            raise FlowError("mesh degenerated during flow")
+        return descend(space, config, stage, target, step)
+
+    monkeypatch.setattr(flow, "_descend", failing_on_12_rows)
+    mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
+    state = flow.run_flow(euclidean, willmore_config(), mesh)
+    assert calls == [(12, 0), (24, 0), (48, state.coarse_steps)]
+    assert state.coarse_steps > 0
+    assert_converged_flow(euclidean, willmore_config(), state)
 
 
 def test_failure_on_the_requested_grid_is_not_retried(grid32, euclidean, monkeypatch):

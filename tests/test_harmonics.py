@@ -2,7 +2,7 @@ import numpy as np
 
 from qll.grids import SphereGrid
 from qll.harmonics import (HarmonicTransform, band_limited_field,
-                           real_harmonic_grid, resample)
+                           real_harmonic_grid, resample, restrict)
 
 
 def sphere_inner(grid, f, g):
@@ -64,3 +64,16 @@ def test_resample_between_grids():
     for l, m in ((16, 0), (20, 17)):
         above = real_harmonic_grid(fine, l, m)
         assert np.max(np.abs(resample(on[fine] + above, fine, coarse) - on[coarse])) < 1e-12
+
+
+def test_restrict_reads_the_share_outside_the_band():
+    coarse, fine = SphereGrid(16, 32), SphereGrid(32, 64)
+    inside = 1.0 + 0.05 * real_harmonic_grid(fine, 2, 0) + 0.01 * real_harmonic_grid(fine, 15, -3)
+    field, share = restrict(inside, fine, coarse)
+    assert share <= 1e-14
+    assert np.array_equal(field, resample(inside, fine, coarse))
+    # ||F|| = sqrt(4 pi) for F = 1; a degree-16 (or order-16) bump of 1e-9 is outside
+    norm = np.sqrt(sphere_inner(fine, inside, inside))
+    for l, m in ((16, 0), (17, 16), (20, -17)):
+        share = restrict(inside + 1e-9 * real_harmonic_grid(fine, l, m), fine, coarse)[1]
+        assert abs(share * norm / 1e-9 - 1.0) < 1e-4

@@ -290,6 +290,24 @@ def test_time_symmetric_surface_never_forms_christoffels(grid24, schwarzschild, 
     energy_report(schwarzschild, geom)
 
 
+@pytest.mark.parametrize("name", ["euclidean", "hemisphere", "hyperbolic",
+                                  "reissner_nordstrom", "schwarzschild"])
+def test_time_symmetric_completion_matches_explicit_zero_k(grid24, name):
+    # the k-terms skipped on k = 0 data are exact zeros: H, P, tr k and the
+    # null expansions equal, bit for bit, those of an explicit k = 0
+    params, r0 = CATALOG_SURFACES[name]
+    space = catalog(name, **params)
+    zero_k = dataclasses.replace(
+        space, k_fn=lambda X: np.zeros(X.shape[:-1] + (3, 3)),
+        dk_fn=lambda X: np.zeros(X.shape[:-1] + (3, 3, 3)))
+    assert space.time_symmetric and not zero_k.time_symmetric
+    mesh = sf.round_sphere_with_harmonics(grid24, r0, [(2, 1, 0.05), (3, -2, 0.03)],
+                                          center=(0.1, 0.05, -0.07))
+    skipped, explicit = sf.induced_geometry(space, mesh), sf.induced_geometry(zero_k, mesh)
+    for name in ("H", "P", "trk", "theta_plus", "theta_minus"):
+        assert getattr(skipped, name).tobytes() == getattr(explicit, name).tobytes(), name
+
+
 def test_completed_area_stage_is_the_full_build(grid24, schwarzschild):
     calls = dict.fromkeys(("metric_fn", "dmetric_fn"), 0)
     space = _counted_space(schwarzschild, calls, calls)

@@ -31,16 +31,16 @@ on the level above lies in its band: the L2 share of that radius's harmonic
 coefficients outside the level's degrees and orders is at most BAND_RTOL.
 Every level solves the same problem (mode, residual_tol and the target area,
 which is the area on the requested grid): it is continued from the level
-below, its mesh prolonged by zero-padding the coefficients, which is exact
-because every accepted step is band-limited, and runs the same descent,
-whose stop test gives that level's verdict; the requested grid's gives the
-flow's.  max_steps bounds the steps of all levels together.  The history
-holds only the requested grid's records, so F is compared on one quadrature
-and stays monotone over it; their step numbers continue from the step count
-of all coarser levels (coarse_steps).  If a coarser level or a prolongation
-raises, the level above descends directly from its own restricted mesh, so
-the chain adds no failure mode; the requested grid's descent raises as a
-direct one does.
+below, whatever that level's verdict, its mesh prolonged by zero-padding the
+coefficients, which is exact because every accepted step is band-limited,
+and runs the same descent, whose stop test gives that level's verdict; the
+requested grid's gives the flow's.  max_steps bounds the steps of all levels
+together.  The history holds only the requested grid's records, so F is
+compared on one quadrature and stays monotone over it; their step numbers
+continue from the step count of all coarser levels (coarse_steps).  If a
+coarser level or a prolongation raises, the level above descends directly
+from its own restricted mesh, so the chain adds no failure mode; the
+requested grid's descent raises as a direct one does.
 """
 
 from dataclasses import dataclass, field

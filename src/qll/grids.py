@@ -130,7 +130,7 @@ class SphereGrid:
 
     @cached_property
     def coarse_grid(self):
-        """The half grid (ntheta//2, 2*(nphi//4)) of the flow's coarse stage."""
+        """The half grid (ntheta//2, 2*(nphi//4)), the next level of the flow's coarse chain."""
         return SphereGrid(self.ntheta // 2, 2 * (self.nphi // 4))
 
     # -- quadrature

@@ -107,7 +107,7 @@ def restrict(F, source, target):
     The share ||F - P F|| / ||F||, with P the projection onto target's degrees
     and orders, is read from the one analysis on source that also gives the
     restriction, so it carries no synthesis roundoff.  Content outside source's
-    own band is out of reach of that analysis.
+    own band (its phi Nyquist mode, for one) counts toward neither norm.
     """
     coeffs = source.harmonic_transform.analyze(F)
     dst = target.harmonic_transform

@@ -72,7 +72,7 @@ def test_restrict_reads_the_share_outside_the_band():
     field, share = restrict(inside, fine, coarse)
     assert share <= 1e-14
     assert np.array_equal(field, resample(inside, fine, coarse))
-    # ||F|| = sqrt(4 pi) for F = 1; a degree-16 (or order-16) bump of 1e-9 is outside
+    # a 1e-9 bump above the coarse band, in l or in m, reads 1e-9 / ||F||
     norm = np.sqrt(sphere_inner(fine, inside, inside))
     for l, m in ((16, 0), (17, 16), (20, -17)):
         share = restrict(inside + 1e-9 * real_harmonic_grid(fine, l, m), fine, coarse)[1]

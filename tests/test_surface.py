@@ -304,8 +304,8 @@ def test_time_symmetric_completion_matches_explicit_zero_k(grid24, name):
     mesh = sf.round_sphere_with_harmonics(grid24, r0, [(2, 1, 0.05), (3, -2, 0.03)],
                                           center=(0.1, 0.05, -0.07))
     skipped, explicit = sf.induced_geometry(space, mesh), sf.induced_geometry(zero_k, mesh)
-    for name in ("H", "P", "trk", "theta_plus", "theta_minus"):
-        assert getattr(skipped, name).tobytes() == getattr(explicit, name).tobytes(), name
+    for field in ("H", "P", "trk", "theta_plus", "theta_minus"):
+        assert getattr(skipped, field).tobytes() == getattr(explicit, field).tobytes(), field
 
 
 def test_completed_area_stage_is_the_full_build(grid24, schwarzschild):

@@ -27,20 +27,25 @@ A flow descends first on a chain of coarser grids, each the half grid
 (ntheta//2, 2*(nphi//4)) of the one above it, as in the nested iteration of
 full multigrid: 48x96 -> 24x48 -> 12x24, 64x128 -> 32x64 -> 16x32.  A level
 joins the chain when it has at least COARSE_MIN_NTHETA rows and the radius
-on the level above lies in its band: the L2 share of that radius's harmonic
-coefficients outside the level's degrees and orders is at most BAND_RTOL.
-Every level solves the same problem (mode, residual_tol and the target area,
-which is the area on the requested grid): it is continued from the level
-below, whatever that level's verdict, its mesh prolonged by zero-padding the
-coefficients, which is exact because every accepted step is band-limited,
-and runs the same descent, whose stop test gives that level's verdict; the
-requested grid's gives the flow's.  max_steps bounds the steps of all levels
-together.  The history holds only the requested grid's records, so F is
-compared on one quadrature and stays monotone over it; their step numbers
-continue from the step count of all coarser levels (coarse_steps).  If a
-coarser level or a prolongation raises, the level above descends directly
-from its own restricted mesh, so the chain adds no failure mode; the
-requested grid's descent raises as a direct one does.
+on the level above lies in its band: the L2 share of that radius outside
+the level's degrees and orders, counting what the analysis on the level
+above cannot see, is at most BAND_RTOL.  Every level solves the same problem
+(mode, residual_tol and the target area, which is the area on the requested
+grid): it is continued from the level below, its mesh prolonged by
+zero-padding the coefficients, which is exact because every accepted step is
+band-limited, and runs the same descent, whose stop test gives that level's
+verdict; the requested grid's gives the flow's.  max_steps bounds the steps
+of all levels together.  The history holds only the requested grid's
+records, so F is compared on one quadrature and stays monotone over it;
+their step numbers continue from the steps taken before them (coarse_steps:
+on the coarser levels, and in a stalled first continuation, see below).  If a coarser level or a prolongation raises, the
+level above descends directly from its own restricted mesh, counting on from
+the failed level's steps when its FlowError carries them, so the chain adds
+no failure mode; the requested grid's descent raises as a direct one does.
+F's roundoff can stall a coarse level just above residual_tol, and the
+requested grid after it: when both the requested grid and the level below,
+continued from a coarser one, stagnate, the requested grid continues once
+more from the level below descended directly from its own restricted mesh.
 """
 
 from dataclasses import dataclass, field
@@ -99,7 +104,7 @@ class FlowState:
     area: float
     l2_residual: float
     history: list = field(default_factory=list)   # the requested grid's records
-    coarse_steps: int = 0             # steps taken on the coarser levels first
+    coarse_steps: int = 0             # steps taken before the history's first record
 
 
 def _rescale_to_area(space, stage, target):
@@ -141,20 +146,40 @@ def run_flow(space, config, initial_mesh):
     return _solve(space, config, stage, target)
 
 
-def _solve(space, config, stage, target):
+def _solve(space, config, stage, target, requested=True):
     """The flow of the area stage's mesh on its grid, continued from the coarser levels."""
+    step = 0
     coarse = _restricted(stage.mesh)
     if coarse is not None:
         try:
-            below = _solve(space, config, sf._area_stage(space, coarse), target)
+            coarse = sf._area_stage(space, coarse)
+            below = _solve(space, config, coarse, target, False)
+            step = below.step_index
             prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid))
+        except FlowError as exc:      # the direct descent below counts on from the failure
+            if exc.state is not None:
+                step = exc.state.step_index
         except QLLError:
-            pass                      # this level's direct descent below gives the verdict
+            pass
         else:
-            state = _descend(space, config, prolonged, target, below.step_index)
-            state.coarse_steps = below.step_index
-            return state
-    return _descend(space, config, stage, target)
+            state = _descend(space, config, prolonged, target, step)
+            state.coarse_steps = step
+            if not (requested and state.status == below.status == "stagnated"
+                    and below.coarse_steps > 0):
+                return state
+            # F's roundoff stalled the level below and then this grid: continue
+            # once more, from the level below descended directly
+            try:
+                below = _descend(space, config, coarse, target, state.step_index)
+                prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid))
+                again = _descend(space, config, prolonged, target, below.step_index)
+            except QLLError:
+                return state
+            again.coarse_steps = below.step_index
+            return again
+    state = _descend(space, config, stage, target, step)
+    state.coarse_steps = step
+    return state
 
 
 def _descend(space, config, stage, target, step=0):

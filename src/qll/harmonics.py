@@ -106,17 +106,23 @@ def restrict(F, source, target):
 
     The share ||F - P F|| / ||F||, with P the projection onto target's degrees
     and orders, is read from the one analysis on source that also gives the
-    restriction, so it carries no synthesis roundoff.  Content outside source's
-    own band (its phi Nyquist mode, for one) counts toward neither norm.
+    restriction: its coefficients outside target's band, plus the part of F
+    that the analysis cannot see (F less the synthesis of its coefficients:
+    the phi Nyquist mode, and degrees above source's band at each order), which
+    the restriction would otherwise drop unnoticed.
     """
-    coeffs = source.harmonic_transform.analyze(F)
+    src = source.harmonic_transform
+    coeffs = src.analyze(F)
+    unseen = F - src.synthesize(coeffs)
+    # squared norms in coefficient units: the quadrature over the sphere / (2 pi)
+    weights = source.glweights[:, None] / source.nphi
+    outside = float(np.sum(weights * unseen * unseen))
+    total = float(np.sum(weights * F * F))
     dst = target.harmonic_transform
-    outside = total = 0.0
     for m, c in enumerate(coeffs):
         weight = 1.0 if m == 0 else 2.0          # c_{l,-m} = conj(c_lm) for a real F
         kept = dst.lmax - m + 1 if m <= dst.mmax else 0
         outside += weight * np.vdot(c[kept:], c[kept:]).real
-        total += weight * np.vdot(c, c).real
     share = np.sqrt(outside / total) if total > 0.0 else 0.0
     return _synthesized(coeffs, dst), float(share)
 

@@ -294,6 +294,101 @@ def test_failure_on_the_coarsest_level_falls_back_to_the_level_above(grid48, euc
     assert_converged_flow(euclidean, willmore_config(), state)
 
 
+def test_fallback_counts_on_from_the_failed_level(grid48, euclidean, monkeypatch):
+    # a FlowError that carries the failed level's state hands its step count
+    # to the level above, so max_steps still bounds all levels together
+    descend = flow._descend
+    calls = []
+
+    def failing_after_12_rows(space, config, stage, target, step=0):
+        calls.append((stage.mesh.grid.ntheta, step))
+        state = descend(space, config, stage, target, step)
+        if stage.mesh.grid.ntheta == 12:
+            raise FlowError("mesh degenerated during flow", state=state)
+        return state
+
+    monkeypatch.setattr(flow, "_descend", failing_after_12_rows)
+    mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
+    state = flow.run_flow(euclidean, willmore_config(), mesh)
+    (_, first), (_, after_12), (_, after_24) = calls
+    assert first == 0 and after_12 > 0 and after_24 >= after_12
+    assert calls[1:] == [(24, after_12), (48, after_24)]
+    assert state.coarse_steps == after_24
+    assert_converged_flow(euclidean, willmore_config(), state)
+
+
+def stalling(grids, monkeypatch):
+    """Patch _descend so the first descent on each of these row counts reads stagnated."""
+    descend = flow._descend
+    calls = []
+
+    def patched(space, config, stage, target, step=0):
+        rows = stage.mesh.grid.ntheta
+        calls.append((rows, step))
+        state = descend(space, config, stage, target, step)
+        if rows in grids and [n for n, _ in calls].count(rows) == 1:
+            state.status = "stagnated"
+        return state
+
+    monkeypatch.setattr(flow, "_descend", patched)
+    return calls
+
+
+def test_requested_grid_stalled_after_a_stalled_level_continues_once_more(grid48, euclidean,
+                                                                          monkeypatch):
+    # 24x48 (continued from 12x24) and then 48x96 stagnate: 24x48 descends
+    # directly from its own restricted mesh, counting on, and 48x96 continues
+    # from that solution
+    calls = stalling((24, 48), monkeypatch)
+    mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
+    state = flow.run_flow(euclidean, willmore_config(), mesh)
+    assert [n for n, _ in calls] == [12, 24, 48, 24, 48]
+    assert calls[3][1] == calls[2][1] > 0
+    assert state.coarse_steps == calls[4][1]
+    assert state.history[0].step == state.coarse_steps
+    assert_converged_flow(euclidean, willmore_config(), state)
+
+
+def test_stalled_levels_are_not_descended_again_without_cause(grid48, grid32, euclidean,
+                                                              monkeypatch):
+    # a stalled coarser level alone is continued from: its verdict is not the flow's
+    calls = stalling((12, 24), monkeypatch)
+    mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
+    assert flow.run_flow(euclidean, willmore_config(), mesh).status == "converged"
+    assert [n for n, _ in calls] == [12, 24, 48]
+    # a level below that descended directly would only repeat itself
+    calls = stalling((16, 32), monkeypatch)
+    mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
+    assert flow.run_flow(euclidean, willmore_config(), mesh).status == "stagnated"
+    assert [n for n, _ in calls] == [16, 32]
+
+
+def test_rotated_seed_stalled_on_two_coarse_levels_converges():
+    # seed 1607's tenth flow_solve cycle: the hyperboloid mixed seed rotated by
+    # 3.8901948811856926 rad at 48x96; 12x24 stagnates at 1.41e-5, 24x48
+    # continued from it at 1.23e-5, and 48x96 after them at 1.15e-5; 48x96
+    # converges when continued from 24x48 descended directly
+    perts = [(2, 1, -0.014652818592739519), (2, -1, -0.0136123071993056),
+             (3, 2, 0.000735254635586647), (3, -2, 0.009972933401003355)]
+    space = catalog("hyperboloid", a=1.0)
+    config = flow.FlowConfig(mode="hawking", target_area=4.0 * np.pi, residual_tol=1e-5)
+    mesh = sf.round_sphere_with_harmonics(SphereGrid(48, 96), 1.0, perts)
+    assert_converged_flow(space, config, flow.run_flow(space, config, mesh))
+
+
+def test_mesh_with_content_its_analysis_cannot_see_is_solved_directly(grid48, euclidean):
+    # the phi Nyquist mode of 48x96 lies outside its harmonic band, so the
+    # restriction would drop it unseen; the guard counts it and refuses 24x48
+    mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
+    assert flow._restricted(mesh) is not None
+    radius = mesh.radius + 1e-6 * np.cos(48 * grid48.phi)[None, :]
+    mesh = sf.SurfaceMesh(grid48, radius, mesh.center)
+    assert flow._restricted(mesh) is None
+    state = flow.run_flow(euclidean, willmore_config(max_steps=2), mesh)
+    assert state.coarse_steps == 0
+    assert [rec.step for rec in state.history] == [0, 1, 2]
+
+
 def test_failure_on_the_requested_grid_is_not_retried(grid32, euclidean, monkeypatch):
     # after the coarse stage, the requested grid's descent raises as a direct
     # solve does; the flow is not solved again from the initial mesh

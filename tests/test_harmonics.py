@@ -77,3 +77,9 @@ def test_restrict_reads_the_share_outside_the_band():
     for l, m in ((16, 0), (17, 16), (20, -17)):
         share = restrict(inside + 1e-9 * real_harmonic_grid(fine, l, m), fine, coarse)[1]
         assert abs(share * norm / 1e-9 - 1.0) < 1e-4
+    # so does content the analysis on the fine grid cannot see: its phi
+    # Nyquist mode (quadrature norm sqrt(4 pi)) and a degree above its band
+    nyquist = np.cos(32 * fine.phi)[None, :] * np.ones((fine.ntheta, 1))
+    share = restrict(inside + 1e-9 * nyquist, fine, coarse)[1]
+    assert abs(share * norm / (1e-9 * np.sqrt(4.0 * np.pi)) - 1.0) < 1e-4
+    assert restrict(inside + 1e-9 * real_harmonic_grid(fine, 40, 5), fine, coarse)[1] > 1e-10

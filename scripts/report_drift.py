@@ -2,15 +2,16 @@
 
     python scripts/report_drift.py PARENT_DIR CHANGE_DIR [--tol 1e-14]
 
-Runs a fixed set of CLI configs (eval, residual, flow, sweep and varcheck,
-each with --format json and --format csv) with each checkout's src on
-PYTHONPATH, then compares the artefacts field by field.  A field is a JSON
-value by its key path, a CSV column (a field,value table: a field), or a
-mesh file's radii.  For each numeric field it prints the largest
-|a - b| / (1 + |a|) over the field's values (a from PARENT_DIR), and it
-lists every other difference: a file or field on one side only, another
-number of values, different text, or a different exit code.  The exit code
-is 1 when a drift exceeds --tol or any other difference is listed.
+Runs a fixed set of CLI configs (eval, residual, flow, radial-model and
+catalog-space sweeps, and varcheck, each with --format json and --format
+csv) with each checkout's src on PYTHONPATH, then compares the artefacts
+field by field.  A field is a JSON value by its key path, a CSV column (a
+field,value table: a field), or a mesh file's radii.  For each numeric
+field it prints the largest |a - b| / (1 + |a|) over the field's values (a
+from PARENT_DIR), and it lists every other difference: a file or field on
+one side only, another number of values, different text, or a different
+exit code.  The exit code is 1 when a drift exceeds --tol or any other
+difference is listed.
 """
 
 import argparse
@@ -57,6 +58,9 @@ CONFIGS = [
     ("sweep-paraboloid-lambda", "sweep", {
         "sweep": {"model": "paraboloid", "params": {"alpha": 0.5}, "r_values": [0.5, 1.0, 1.5]},
         "lambda_el": 0.3}),
+    ("sweep-schwarzschild-catalog", "sweep", {
+        "space": {"name": "schwarzschild", "params": {"m": 1.0}},
+        "sweep": {"r_values": [3.0, 5.0, 8.0]}, "hypothesis": {"beta": 0.25, "lambda": 0.0}}),
     ("varcheck-seeded-lapse", "varcheck", {
         "space": {"name": "schwarzschild", "params": {"m": 1.0}},
         "surface": {"round_r": 4.0, "perturbations": [[2, 1, 0.03]]},

@@ -110,34 +110,18 @@ def _fd_steps(points):
 
 
 def _fd_first(fn, points, h):
-    """d_c fn by central differences with a step h from _fd_steps."""
-    out = None
-    for c in range(3):
-        e = np.zeros(3)
-        e[c] = 1.0
-        d = _over_2h(fn(points + h * e) - fn(points - h * e), h, points)
-        if out is None:
-            out = np.zeros(points.shape[:-1] + (3,) + d.shape[len(points.shape) - 1:])
-        out[..., c, :, :] = d
-    return out
+    """d_c fn by central differences with a step h from _fd_steps (or a scalar step)."""
+    h = np.asarray(h)
+    d = np.stack([fn(points + h * e) - fn(points - h * e) for e in np.eye(3)],
+                 axis=points.ndim - 1)
+    # h per point, broadcast over c and fn's tensor indices
+    return d / (2.0 * h).reshape(h.shape[:-1] + (1,) * (d.ndim - points.ndim + 1))
 
 
 def _fd_second(fn, points, h):
-    out = np.zeros(points.shape[:-1] + (3, 3, 3, 3))
-    for d_ in range(3):
-        e = np.zeros(3)
-        e[d_] = 1.0
-        dplus = _fd_first(fn, points + h * e, h)
-        dminus = _fd_first(fn, points - h * e, h)
-        out[..., d_, :, :] = _over_2h(dplus - dminus, h, points)
-    # symmetrize the derivative pair
-    return 0.5 * (out + np.swapaxes(out, -4, -3))
-
-
-def _over_2h(diff, h, points):
-    """diff / (2 h), a per-point h broadcast over diff's tensor indices."""
-    h = np.asarray(h)
-    return diff / (2.0 * h).reshape(h.shape[:-1] + (1,) * (diff.ndim - points.ndim + 1))
+    """d_d d_c fn: the differences of the differences, symmetrized in (d, c)."""
+    d2 = _fd_first(lambda x: _fd_first(fn, x, h), points, h)
+    return 0.5 * (d2 + np.swapaxes(d2, -4, -3))
 
 
 def _derivative(own, fn, points):

@@ -23,7 +23,7 @@ from .ambient import catalog
 from .criticality import VariationRow, first_variation_check, residual_report
 from .errors import ConfigError, HypothesisError, QLLError
 from .flow import FlowConfig, FlowRecord, run_flow
-from .functionals import energy_report, f_integrals
+from .functionals import EnergyReport, energy_report, f_integrals
 from .grids import SphereGrid
 from .harmonics import band_limited_field, real_harmonic_grid
 from .highdim import RadialSphereReport, radial_model, radial_sweep
@@ -118,11 +118,12 @@ def _check(value, name, ok, what):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float, not a bool; nan, inf and ints beyond a float (10**400) fail."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _number(v, name):
-    return float(_check(v, name, _is_number(v), "a number"))
+    return float(_check(v, name, _is_number(v), "a finite number"))
 
 
 def _integer(v, name):
@@ -134,7 +135,7 @@ def _object(v, name):
 
 
 def _numbers(v, name, length=None):
-    """A non-empty list of numbers, of the given length if one is given, as floats."""
+    """A non-empty list of finite numbers, of the given length if one is given, as floats."""
     ok = isinstance(v, list) and v and all(map(_is_number, v)) and length in (None, len(v))
     return [float(x) for x in _check(v, name, ok, f"a list of {length or 'one or more'} numbers")]
 
@@ -148,11 +149,13 @@ def _perturbations(v, name):
 
 
 def _fields(obj, name, checks):
-    """The entries of obj, each validated by its check; a key without a check is an error."""
-    for k in obj:
+    """The entries of object obj, the field name ("" for the config itself), each validated
+    by its check (None: taken as given); a key without a check is an error."""
+    prefix = name and f"{name}."
+    for k in _object(obj, name):
         if k not in checks:
-            raise ConfigError(f"field '{name}.{k}' is not a setting")
-    return {k: check(obj[k], f"{name}.{k}") for k, check in checks.items() if k in obj}
+            raise ConfigError(f"field '{prefix}{k}' is not a setting")
+    return {k: f(obj[k], prefix + k) if f else obj[k] for k, f in checks.items() if k in obj}
 
 
 # every FlowConfig field but mode, which is the run's top-level 'mode'
@@ -178,50 +181,44 @@ class RunConfig:
     def __init__(self, raw, task, grid=None, out_dir=None, fmt=None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        # key names only: a section is validated where it is read
+        _fields(raw, "", dict.fromkeys(("grid", "output", "mode", "Lambda", "lambda_el", "hypothesis",
+                                        "space", "surface", "flow", "sweep", "varcheck")))
         grid = raw.get("grid", [48, 96]) if grid is None else _parse_grid(grid)
         ok = isinstance(grid, list) and len(grid) == 2 and all(
             _is_number(n) and isinstance(n, int) for n in grid)
         self.grid = _check(grid, "grid", ok, "[ntheta, nphi] integers")
         if self.grid[0] < GRID_MIN[0] or self.grid[1] < GRID_MIN[1]:
             raise ConfigError(f"field 'grid' must be at least {GRID_MIN}")
-        out = _object(raw.get("output", {}), "output")
+        out = _fields(raw.get("output", {}), "output", {
+            "dir": lambda v, name: _check(v, name, isinstance(v, str), "a directory name"),
+            "format": lambda v, name: _check(v, name, v in ("json", "csv"), "'json' or 'csv'")})
         self.out_dir = out_dir or out.get("dir", ".")
-        _check(self.out_dir, "output.dir", isinstance(self.out_dir, str), "a directory name")
         self.fmt = fmt or out.get("format", "json")
-        _check(self.fmt, "output.format", self.fmt in ("json", "csv"), "'json' or 'csv'")
         self.mode = raw.get("mode", "hawking")
-        self.Lambda = None if raw.get("Lambda") is None else _number(raw["Lambda"], "Lambda")
-        self.lambda_el = (None if raw.get("lambda_el") is None
-                          else _number(raw["lambda_el"], "lambda_el"))
-        hyp = _fields(_object(raw.get("hypothesis") or {}, "hypothesis"), "hypothesis",
-                      _HYPOTHESIS_FIELDS)
+        self.Lambda, self.lambda_el = (None if raw.get(k) is None else _number(raw[k], k)
+                                       for k in ("Lambda", "lambda_el"))
+        hyp = _fields(raw.get("hypothesis") or {}, "hypothesis", _HYPOTHESIS_FIELDS)
         self.hypothesis = (hyp.get("beta", 0.25), hyp.get("lambda", 0.0)) if hyp else None
         if task == "sweep":
-            sweep = _object(raw.get("sweep"), "sweep")
-            self.model = sweep.get("model")
-            _check(self.model, "sweep.model", isinstance(self.model, str) and self.model,
-                   "a model name")
-            self.model_params = dict(_object(sweep.get("params", {}), "sweep.params"))
-            if "n" in sweep:
-                self.model_params["n"] = _integer(sweep["n"], "sweep.n")
+            # a radial model, or with a 'space' its coordinate spheres (no model settings)
+            radial = "space" not in raw
+            sweep = _fields(raw.get("sweep"), "sweep", dict(
+                {"model": None, "n": _integer, "params": _object} if radial else {}, r_values=None))
             self.r_values = _numbers(sweep.get("r_values"), "sweep.r_values")
+            self.model = sweep.get("model")
+            if radial:
+                _check(self.model, "sweep.model", self.model is not None, "given without a 'space'")
+                self.model_params = dict(sweep.get("params", {}))
+                if "n" in sweep:
+                    self.model_params["n"] = sweep["n"]
+                return
+        space = _fields(raw.get("space"), "space", {"name": None, "params": _object})
+        _check(space, "space", "name" in space, "an object with a 'name'")
+        self.space_name, self.space_params = space["name"], space.get("params", {})
+        if task == "sweep":
             return
-        space = raw.get("space")
-        _check(space, "space", isinstance(space, dict) and "name" in space, "an object with a 'name'")
-        self.space_name = space["name"]
-        self.space_params = _object(space.get("params", {}), "space.params")
-        self._validate_surface(raw)
-        if task == "flow":
-            self.flow = _fields(_object(raw.get("flow", {}), "flow"), "flow", _FLOW_FIELDS)
-        if task == "varcheck":
-            vraw = _object(raw.get("varcheck", {}), "varcheck")
-            lapse = _object(vraw.get("lapse", {"l": 2, "m": 0, "amplitude": 1.0}), "varcheck.lapse")
-            self.lapse = _fields(lapse, "varcheck.lapse", _LAPSE_FIELDS)
-            self.s_values = _numbers(vraw.get("s_values", [1.6e-2, 8e-3, 4e-3]), "varcheck.s_values")
-            _check(self.s_values, "varcheck.s_values", 0.0 not in self.s_values, "nonzero")
-
-    def _validate_surface(self, raw):
-        surf = _fields(_object(raw.get("surface"), "surface"), "surface", _SURFACE_FIELDS)
+        surf = _fields(raw.get("surface"), "surface", _SURFACE_FIELDS)
         sources = [k for k in ("sphere_r", "mesh_file", "round_r") if k in surf]
         _check(surf, "surface", len(sources) == 1,
                "an object with exactly one of 'sphere_r', 'mesh_file', 'round_r'")
@@ -229,6 +226,14 @@ class RunConfig:
         self.source_value = surf[self.source]
         self.center = surf.get("center", [0.0, 0.0, 0.0])
         self.perturbations = surf.get("perturbations", [])
+        if task == "flow":
+            self.flow = _fields(raw.get("flow", {}), "flow", _FLOW_FIELDS)
+        if task == "varcheck":
+            vraw = _fields(raw.get("varcheck", {}), "varcheck", {"lapse": None, "s_values": _numbers})
+            self.lapse = _fields(vraw.get("lapse", {"l": 2, "m": 0, "amplitude": 1.0}),
+                                 "varcheck.lapse", _LAPSE_FIELDS)
+            self.s_values = vraw.get("s_values", [1.6e-2, 8e-3, 4e-3])
+            _check(self.s_values, "varcheck.s_values", 0.0 not in self.s_values, "nonzero")
 
     def build(self):
         """The run's space, grid and surface mesh."""
@@ -265,16 +270,19 @@ def _load_config(path):
 # ---------------------------------------------------------------------------
 # tasks: each returns its artifacts as {file name: content}
 
-def _task_eval(cfg):
-    space, _, mesh = cfg.build()
+def _energy_report(cfg, space, mesh):
+    """The mesh's EnergyReport with the run's Lambda and hypothesis settings."""
     geom = sf.induced_geometry(space, mesh)
-    kwargs = {} if cfg.Lambda is None else {"Lambda": cfg.Lambda}
-    if cfg.hypothesis:
-        kwargs.update(beta=cfg.hypothesis[0], lam=cfg.hypothesis[1])
-    report = energy_report(space, geom, **kwargs).as_dict()
-    if cfg.hypothesis and report["f_integral"] is None:
+    report = energy_report(space, geom, cfg.Lambda, *(cfg.hypothesis or ()))
+    if cfg.hypothesis and report.f_integral is None:
         # explicit request: fail loudly when the hypotheses do not hold
         f_integrals(space, geom, *cfg.hypothesis)
+    return report
+
+
+def _task_eval(cfg):
+    space, _, mesh = cfg.build()
+    report = _energy_report(cfg, space, mesh).as_dict()
     return {"report.json": report, "report.csv": report}
 
 
@@ -305,6 +313,12 @@ def _task_flow(cfg):
 
 
 def _task_sweep(cfg):
+    if cfg.model is None:
+        # each row: r, then the eval report of the coordinate sphere of radius r
+        space, grid = catalog(cfg.space_name, **cfg.space_params), SphereGrid(*cfg.grid)
+        header, rows = _records_table(EnergyReport, [
+            _energy_report(cfg, space, sf.coordinate_sphere(grid, r)) for r in cfg.r_values])
+        return {"sweep.csv": (["r", *header], ((r, *row) for r, row in zip(cfg.r_values, rows)))}
     model = radial_model(cfg.model, **cfg.model_params)
     reports = radial_sweep(model, cfg.r_values, cfg.lambda_el or 0.0)
     return {"sweep.csv": _records_table(RadialSphereReport, reports)}

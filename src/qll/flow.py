@@ -80,8 +80,10 @@ class FlowConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if (self.target_area is not None and self.target_area <= 0) or self.residual_tol <= 0:
-            raise ValueError("target_area and residual_tol must be positive")
+        # chained comparisons, so that nan fails them too
+        if not (self.target_area is None or 0 < self.target_area < np.inf) \
+                or not 0 < self.residual_tol < np.inf:
+            raise ValueError("target_area and residual_tol must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
 

@@ -50,20 +50,15 @@ def charge_flux(geom):
 def charged_hawking_energy(geom, extra_charge_sq=0.0):
     """Charge Q and energy E_Q.
 
-    Time-symmetric data uses the H^2 form; for k != 0 the same expression
-    with H^2 - P^2 is used and flagged in the returned convention string.
-    extra_charge_sq adds a magnetic-charge Q_B^2 to the Q^2 term.
+    The integrand is H^2 - P^2, which is H^2 on time-symmetric data (P is
+    an exact zero there); k != 0 data is flagged "H2-P2" in the returned
+    convention string.  extra_charge_sq adds a magnetic-charge Q_B^2 to the
+    Q^2 term.
     """
     Q = charge_flux(geom)
-    if geom.space.time_symmetric:
-        integrand = geom.H ** 2
-        convention = "H2"
-    else:
-        integrand = geom.H ** 2 - geom.P ** 2
-        convention = "H2-P2"
-    val = _hawking_mass(geom.area, sf.integrate(geom, integrand),
+    val = _hawking_mass(geom.area, sf.integrate(geom, geom.H ** 2 - geom.P ** 2),
                         FOUR_PI * (Q ** 2 + extra_charge_sq) / geom.area)
-    return Q, float(val), convention
+    return Q, float(val), "H2" if geom.space.time_symmetric else "H2-P2"
 
 
 def lambda_hawking_energy(geom, Lambda):

@@ -10,6 +10,7 @@ values agree with the meshed 3-dimensional modules on the same data.
 
 from dataclasses import dataclass, fields
 from math import gamma as gamma_fn
+from numbers import Real
 
 import numpy as np
 
@@ -134,7 +135,10 @@ RADIAL_CATALOG = {
 
 
 def radial_model(name, **params):
-    """Construct a RadialModel by name; n is the dimension (default 3)."""
+    """Construct a RadialModel by name; n is the dimension (default 3, at least 3)."""
+    n = params.get("n", 3)
+    if isinstance(n, Real) and not isinstance(n, bool) and n < 3:  # before 1/(n - 2) is formed
+        raise CatalogError(f"radial model '{name}' needs dimension n >= 3, got n = {n}")
     return _lookup(RADIAL_CATALOG, "radial model", name, params)
 
 

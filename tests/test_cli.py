@@ -176,6 +176,38 @@ def test_sweep_task(tmp_path):
     assert all(abs(v - 1.0) < 1e-10 for v in e1)
 
 
+@pytest.mark.parametrize("space,extra,r_values", [
+    ({"name": "schwarzschild", "params": {"m": 1.0}}, {}, [3.0, 5.0, 8.0]),
+    ({"name": "hyperboloid", "params": {"a": 1.0}}, {"Lambda": -3.0}, [0.5, 1.0, 2.0]),
+    ({"name": "paraboloid", "params": {"alpha": 0.5}}, {"hypothesis": {"beta": 0.3}},
+     [0.5, 1.0, 1.5]),
+    ({"name": "reissner_nordstrom", "params": {"m": 1.0, "q": 0.5}},
+     {"Lambda": 0.1, "hypothesis": {"beta": 0.25, "lambda": 0.01}}, [3.0, 5.0, 8.0]),
+], ids=["schwarzschild", "hyperboloid", "paraboloid", "reissner_nordstrom"])
+def test_catalog_sweep_matches_eval(tmp_path, space, extra, r_values):
+    # each row is r and the eval report of surface.sphere_r = r under the same config
+    run = dict(extra, space=space, grid=[32, 64])
+    cfg = write_config(tmp_path / "sweep.json", dict(run, sweep={"r_values": r_values}))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    with open(tmp_path / "sweep" / "sweep.csv", newline="", encoding="ascii") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == len(r_values)
+    for r, row in zip(r_values, rows):
+        cfg = write_config(tmp_path / "eval.json", dict(run, surface={"sphere_r": r}))
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert header == ["r", *report]
+        assert [json.loads(cell) for cell in row] == [r, *report.values()]
+
+
+def test_catalog_sweep_hypothesis_violation(tmp_path):
+    # as eval: a forced f on a sphere past the 3-sphere's equator exits with status 2
+    cfg = write_config(tmp_path / "run.json", {
+        "space": {"name": "hemisphere", "params": {"radius": 1.0}}, "grid": [16, 32],
+        "hypothesis": {"beta": 0.25}, "sweep": {"r_values": [0.5, 3.0]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 def test_varcheck_task(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
         "space": {"name": "euclidean"},
@@ -328,6 +360,23 @@ def broken_sweep(**fields):
     # r ** (n - 2) overflows at n = 1000: a NumericError naming the model, n and r
     lambda: (*broken_sweep(n=1000, params={"m": 1.0}, r_values=[3.0]),
              "'schwarzschild'", "n = 1000", "r = 3.0"),
+    # n = 2 is rejected before schwarzschild's horizon (2m)^(1/(n - 2)) divides by zero
+    lambda: (*broken_sweep(n=2, params={"m": 1.0}), "'schwarzschild'", "n = 2"),
+    # non-finite numbers, which JSON's NaN and Infinity parse to, and an integer
+    # beyond a float's range
+    lambda: broken_flow(residual_tol=float("nan")),
+    lambda: (*broken("eval", Lambda=float("inf")), "'Lambda'", "finite"),
+    lambda: (*broken("eval", Lambda=10 ** 400), "'Lambda'", "finite"),
+    # unknown keys at the top level and in every section name the key
+    lambda: (*broken("eval", Lamda=-3.0), "'Lamda'"),
+    lambda: (*broken("eval", output={"fromat": "csv"}), "output.fromat"),
+    lambda: (*broken("eval", space={"name": "euclidean", "parms": {}}), "space.parms"),
+    lambda: (*broken_sweep(r_value=[4.0]), "sweep.r_value"),
+    lambda: (*broken("varcheck", varcheck={"s_value": [0.01]}), "varcheck.s_value"),
+    # a catalog space's sweep takes no radial model
+    lambda: ("sweep", json.dumps({"space": {"name": "schwarzschild"},
+                                  "sweep": {"model": "schwarzschild", "r_values": [4.0]}}),
+             "sweep.model"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

@@ -8,7 +8,7 @@ from qll import surface as sf
 from qll.ambient import catalog
 from qll.criticality import radial_rate, residual_report
 from qll.errors import FlowError
-from qll.functionals import hawking_energy, hawking_functional
+from qll.functionals import energy_report, hawking_energy, hawking_functional
 from qll.grids import SphereGrid
 from qll.harmonics import HarmonicTransform
 
@@ -57,6 +57,11 @@ def test_flow_config_validation():
     with pytest.raises(ValueError, match="max_steps"):
         flow.FlowConfig(max_steps=-3)
     flow.FlowConfig(max_steps=0)
+    # nan passes a `<= 0` test, so finiteness is checked on its own
+    for bad in (dict(residual_tol=np.nan), dict(residual_tol=np.inf),
+                dict(target_area=np.nan), dict(target_area=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            flow.FlowConfig(**bad)
 
 
 def test_default_target_area_is_the_initial_area(grid24, euclidean):
@@ -438,6 +443,33 @@ def test_hawking_flow_on_hyperboloid(grid32, hyperboloid):
     geom = sf.induced_geometry(hyperboloid, state.mesh)
     assert abs(hawking_energy(geom)) < 1e-4
     assert state.l2_residual <= 1e-5
+
+
+# the paper's claims on flowed Hawking surfaces: E_H = 0 on flat data (rigidity),
+# E_H = m on Schwarzschild, E_Q = m on Reissner-Nordstrom, E_H >= 0 under the DEC
+HAWKING_SURFACE_CASES = {
+    "euclidean": (catalog("euclidean"), 1.0, "hawking_energy", 0.0),
+    "hyperboloid": (catalog("hyperboloid", a=1.0), 1.0, "hawking_energy", 0.0),
+    "paraboloid": (catalog("paraboloid", alpha=0.5), 1.0, "hawking_energy", 0.0),
+    "schwarzschild": (catalog("schwarzschild", m=1.0), 4.0, "hawking_energy", 1.0),
+    "reissner_nordstrom": (catalog("reissner_nordstrom", m=1.0, q=0.5), 4.0,
+                           "charged_energy", 1.0),
+}
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (48, 96)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("name", sorted(HAWKING_SURFACE_CASES))
+def test_energy_on_flowed_hawking_surface(name, shape):
+    space, r0, field, expected = HAWKING_SURFACE_CASES[name]
+    mesh = sf.round_sphere_with_harmonics(SphereGrid(*shape), r0, [(2, 0, 0.04), (3, 1, 0.02)])
+    config = flow.FlowConfig(mode="hawking", target_area=4.0 * np.pi * r0 ** 2,
+                             residual_tol=1e-5)
+    state = flow.run_flow(space, config, mesh)
+    assert state.status == "converged"
+    report = energy_report(space, sf.induced_geometry(space, state.mesh))
+    assert abs(getattr(report, field) - expected) < 1e-10
+    if report.dec_min >= -1e-12:
+        assert report.hawking_energy >= -1e-10
 
 
 def test_flow_stagnates_below_roundoff_floor(grid32, euclidean):

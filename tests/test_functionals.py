@@ -95,6 +95,19 @@ def test_reissner_nordstrom_charge_and_energy(grid48):
         assert eq >= fn.hawking_energy(geom)
 
 
+def test_charged_energy_on_k_data_integrates_h2_minus_p2(grid32, hyperboloid):
+    # k = g/a gives P = 2/a on every surface, so an H^2 integrand would be off
+    # by the P^2 integral; with H^2 - P^2 the charge term is the only difference
+    space = dataclasses.replace(
+        hyperboloid, efield_fn=lambda pts: 0.3 * pts / np.linalg.norm(pts, axis=-1)[..., None] ** 3)
+    geom = sf.induced_geometry(space, off_centre_mesh(grid32, 1.0))
+    Q, eq, conv = fn.charged_hawking_energy(geom)
+    assert conv == "H2-P2"
+    assert Q != 0.0 and np.min(np.abs(geom.P)) > 1.0
+    charge_term = np.sqrt(geom.area / (16.0 * np.pi)) * 4.0 * np.pi * Q ** 2 / geom.area
+    assert abs(eq - (fn.hawking_energy(geom) + charge_term)) < 1e-12
+
+
 def test_magnetic_charge_term(grid32):
     space = catalog("reissner_nordstrom", m=1.0, q=0.5)
     geom = sf.induced_geometry(space, sf.coordinate_sphere(grid32, 4.0))

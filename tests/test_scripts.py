@@ -6,7 +6,6 @@ import csv
 import json
 import os
 import re
-import subprocess
 import sys
 
 import numpy as np
@@ -38,11 +37,14 @@ def test_readme_quick_start():
     assert values["state.status, state.step_index"][0] == "converged"
 
 
+def readme_json_blocks():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return [json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", fh.read(), re.M | re.S)]
+
+
 def test_readme_flow_config(tmp_path):
     from qll.cli import main
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        blocks = [json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", fh.read(), re.M | re.S)]
-    config = next(b for b in blocks if "flow" in b)
+    config = next(b for b in readme_json_blocks() if "flow" in b)
     config["output"]["dir"] = str(tmp_path)
     (tmp_path / "run.json").write_text(json.dumps(config))
     assert main(["flow", "--config", str(tmp_path / "run.json")]) == 0
@@ -52,22 +54,23 @@ def test_readme_flow_config(tmp_path):
     assert float(rows[-1]["residual"]) <= 1e-5
 
 
-def run_script(cwd, name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                                      env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
-
-
-def test_readme_scripts(tmp_path):
-    sweep = run_script(tmp_path, "energy_sweep.py", "schwarzschild", "out.csv")
-    assert sweep.returncode == 0, sweep.stderr
-    with open(tmp_path / "out.csv", encoding="ascii") as fh:
+def test_readme_sweep_config(tmp_path):
+    from qll.cli import main
+    config = next(b for b in readme_json_blocks() if "sweep" in b and "space" in b)
+    config["output"]["dir"] = str(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(tmp_path / "run.json")]) == 0
+    with open(tmp_path / "sweep.csv", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 36
-    # the documented constant E = m curve of Schwarzschild coordinate spheres
-    assert all(abs(float(row["hawking_energy"]) - 1.0) < 1e-10 for row in rows)
+    assert config["space"] == {"name": "schwarzschild", "params": {"m": 1.0}}
+    assert config["grid"] == [48, 96]
+    assert [float(row["r"]) for row in rows] == list(np.linspace(2.5, 20.0, 36))
+    # the documented constant E = m curve of Schwarzschild coordinate spheres, and
+    # the Brown-York decay r (1 - sqrt(1 - 2m/r)) -> m
+    for row in rows:
+        r = float(row["r"])
+        assert abs(float(row["hawking_energy"]) - 1.0) < 1e-10
+        assert abs(float(row["brown_york"]) - r * (1.0 - np.sqrt(1.0 - 2.0 / r))) < 1e-10
 
 
 def test_bench_pairs_summary():

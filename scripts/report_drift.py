@@ -45,6 +45,14 @@ CONFIGS = [
     ("residual-paraboloid-willmore", "residual", {
         "space": {"name": "paraboloid", "params": {"alpha": 0.5}}, "mode": "willmore",
         "lambda_el": 0.7, "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.05]]}}),
+    # k != 0: the Hawking residual's k-terms
+    ("residual-hyperboloid-hawking", "residual", {
+        "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "mode": "hawking",
+        "surface": {"round_r": 1.0, "perturbations": [[2, 1, 0.04], [3, -2, 0.02]]}}),
+    ("residual-paraboloid-hawking", "residual", {
+        "space": {"name": "paraboloid", "params": {"alpha": 0.5}}, "mode": "hawking",
+        "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.05], [3, 1, 0.03]],
+                    "center": [0.05, -0.03, 0.02]}}),
     ("flow-euclidean-Y20", "flow", {
         "space": {"name": "euclidean"}, "mode": "willmore", "grid": [16, 32],
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.05]]}}),

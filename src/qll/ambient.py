@@ -42,6 +42,13 @@ class AmbientSpace:
         return self.k_fn is None
 
     def check_points(self, points):
+        """Points with a non-finite chart radius, then points outside the chart, are
+        ChartDomainErrors; the first check runs before any closed form."""
+        sq = np.einsum("...a,...a->...", points, points)    # |x|^2, without overflow warnings
+        if not np.isfinite(np.max(sq)):
+            bad = np.count_nonzero(~np.isfinite(sq))
+            raise ChartDomainError(f"non-finite chart radius |x| at {bad} point(s) queried "
+                                   f"in '{self.name}'")
         if self.chart_fn is None:
             return
         ok = np.asarray(self.chart_fn(points))
@@ -189,6 +196,16 @@ def _ricci(space, points, ginv, gamma, dg):
     return np.trace(_riemann_up(ginv, gamma, dg, d2g), axis1=-4, axis2=-2)
 
 
+def _bilinear(M, u, v):
+    """M(u, v) = M_ab u^a v^b per point: einsum("...ab,...a,...b->...") term by term, with
+    its products (M_ab u^a) v^b summed from 0 in its order, so the results are equal."""
+    out = 0.0
+    for a in range(3):
+        for b in range(3):
+            out = out + M[..., a, b] * u[..., a] * v[..., b]
+    return out
+
+
 def _scalar(ginv, ricci):
     return np.einsum("...ab,...ab->...", ginv, ricci)
 
@@ -219,8 +236,12 @@ def curvature_at(space, points):
 
 
 def _nabla_k(gamma, k, dk):
-    """(nabla_a k)_bc = d_a k_bc - Gamma^d_ab k_dc - Gamma^d_ac k_bd."""
-    corr = np.moveaxis(gamma, -3, -1) @ k[..., None, :, :]
+    """(nabla_a k)_bc = d_a k_bc - Gamma^d_ab k_dc - Gamma^d_ac k_bd.
+
+    Gamma^d_ab k_dc is one (9 x 3) @ (3 x 3) product per point, with rows ab.
+    """
+    batch = k.shape[:-2]
+    corr = (np.swapaxes(gamma.reshape(batch + (3, 9)), -1, -2) @ k).reshape(dk.shape)
     return dk - corr - np.swapaxes(corr, -1, -2)
 
 
@@ -279,7 +300,7 @@ def _fields(space, points, ginv, dg, k):
     # J_a = g^{bc} (nabla_b k)_{ca} - g^{bc} (nabla_a k)_{bc}
     J = (np.einsum("...bc,...bca->...a", ginv, nk)
          - np.einsum("...bc,...abc->...a", ginv, nk))
-    jnorm = np.sqrt(np.einsum("...ab,...a,...b->...", ginv, J, J))
+    jnorm = np.sqrt(_bilinear(ginv, J, J))
     return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=nk,
                          mu=0.5 * (scalar + trk ** 2 - ksq), J=J, jnorm=jnorm, ksq=ksq)
 

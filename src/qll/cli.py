@@ -203,6 +203,12 @@ class RunConfig:
         if task == "sweep":
             # a radial model, or with a 'space' its coordinate spheres (no model settings)
             radial = "space" not in raw
+            # one config serves eval, residual, flow and varcheck, but a sweep's is its own:
+            # a single-surface setting, or one this kind of sweep does not read, is an error
+            for k in ("surface", "mode", *(("Lambda", "hypothesis") if radial else ("lambda_el",))):
+                if k in raw:
+                    raise ConfigError(f"field '{k}' is not a setting of a "
+                                      f"{'radial-model' if radial else 'catalog-space'} sweep")
             sweep = _fields(raw.get("sweep"), "sweep", dict(
                 {"model": None, "n": _integer, "params": _object} if radial else {}, r_values=None))
             self.r_values = _numbers(sweep.get("r_values"), "sweep.r_values")

@@ -35,16 +35,15 @@ class ResidualReport:
 
 
 def _residual_terms(space, geom, mode):
-    fields = sf.ambient_fields(space, geom)
-    ric_nn = np.einsum("...ab,...a,...b->...", fields.ricci, geom.nu, geom.nu)
+    sf.ambient_fields(space, geom)        # the fill, after checking that geom is on space
     lap_H = sf.surface_laplacian(geom, geom.H)
-    R0 = lap_H + geom.H * geom.traceless_sq + geom.H * ric_nn
+    R0 = lap_H + geom.H * geom.traceless_sq + geom.H * geom.ric_nn
     if mode == "hawking" and not space.time_symmetric:
         k_up_nu = np.einsum("...ab,...bc,...c->...a", geom.ginv_amb, geom.k_amb, geom.nu)
         div_k = sf.tangential_divergence(geom, k_up_nu)
         gradP = sf.gradient_ambient(geom, geom.P)
-        k_gradP_nu = np.einsum("...ab,...a,...b->...", geom.k_amb, gradP, geom.nu)
-        R0 = (R0 + geom.P * sf.tangential_trace_dnu_k(geom, fields.nabla_k)
+        k_gradP_nu = sf._bilinear(geom.k_amb, gradP, geom.nu)
+        R0 = (R0 + geom.P * geom.dnu_k_trace
               - 2.0 * geom.P * div_k
               + 0.5 * geom.H * geom.P ** 2 - 2.0 * k_gradP_nu)
     return R0

@@ -43,7 +43,7 @@ def charge_flux(geom):
     E = geom.space.efield(geom.X)
     if E is None:
         raise ConfigError(f"space '{geom.space.name}' carries no electric field")
-    flux = np.einsum("...ab,...a,...b->...", geom.g_amb, E, geom.nu)
+    flux = sf._bilinear(geom.g_amb, E, geom.nu)
     return sf.integrate(geom, flux) / FOUR_PI
 
 
@@ -77,13 +77,15 @@ def f_integrals(space, geom, beta=0.25, lam=0.0):
     ksq, jnorm = fields.ksq, fields.jnorm
     H, P, trk = geom.H, geom.P, geom.trk
     ring = geom.traceless_sq
-    core = (0.5 * trk ** 2 - 0.75 * P ** 2
-            - (P / H) * sf.tangential_trace_dnu_k(geom, fields.nabla_k))
+    core = 0.5 * trk ** 2 - 0.75 * P ** 2 - (P / H) * geom.dnu_k_trace
     f = (P / H) ** 2 * ksq + core - 0.5 * ksq - 0.5 * ring - jnorm
     f_beta = (P / H) ** 2 * ksq + core - beta * (ksq + ring + 2.0 * jnorm)
-    grad_logH = sf.gradient_ambient(geom, np.log(H))
-    k_gradlogH_nu = np.einsum("...ab,...a,...b->...", geom.k_amb, grad_logH, geom.nu)
-    f_tilde = (2.0 * P / H) * k_gradlogH_nu + core - 0.5 * ksq - 0.5 * ring - jnorm
+    if space.time_symmetric:
+        f_tilde = f     # k = 0: the k(grad log H, nu) term is an exact 0, so f_tilde is f
+    else:
+        grad_logH = sf.gradient_ambient(geom, np.log(H))
+        k_gradlogH_nu = sf._bilinear(geom.k_amb, grad_logH, geom.nu)
+        f_tilde = (2.0 * P / H) * k_gradlogH_nu + core - 0.5 * ksq - 0.5 * ring - jnorm
     lam_area = lam * geom.area
     return {
         "f": sf.integrate(geom, f) - lam_area,

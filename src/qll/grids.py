@@ -78,8 +78,13 @@ class SphereGrid:
             d[idx, idx] -= d.sum(axis=1)
 
     def _doubled(self, F, parity):
-        mirrored = np.roll(F, self.nphi // 2, axis=1)
-        return np.concatenate([F, parity * mirrored], axis=0)
+        # F, then parity * F shifted by half a turn in phi
+        n, half = self.ntheta, self.nphi // 2
+        out = np.empty((2 * n, self.nphi))
+        out[:n] = F
+        np.multiply(parity, F[:, half:], out=out[n:, :half])
+        np.multiply(parity, F[:, :half], out=out[n:, half:])
+        return out
 
     def dtheta(self, F, parity=1):
         return self._dt1 @ self._doubled(F, parity)
@@ -89,16 +94,21 @@ class SphereGrid:
 
     # -- phi: 4th-order periodic central differences
 
+    @staticmethod
+    def _shifted(F):
+        """F at phi_{j-2}, phi_{j-1}, phi_{j+1}, phi_{j+2}: views of one periodic padding."""
+        P = np.concatenate([F[:, -2:], F, F[:, :2]], axis=1)
+        return P[:, :-4], P[:, 1:-3], P[:, 3:-1], P[:, 4:]
+
     def dphi(self, F):
         h = self.dphi_step
-        return (8.0 * (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1))
-                - (np.roll(F, -2, axis=1) - np.roll(F, 2, axis=1))) / (12.0 * h)
+        m2, m1, p1, p2 = self._shifted(F)
+        return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
 
     def d2phi(self, F):
         h = self.dphi_step
-        return (-(np.roll(F, -2, axis=1) + np.roll(F, 2, axis=1))
-                + 16.0 * (np.roll(F, -1, axis=1) + np.roll(F, 1, axis=1))
-                - 30.0 * F) / (12.0 * h ** 2)
+        m2, m1, p1, p2 = self._shifted(F)
+        return (-(p2 + m2) + 16.0 * (p1 + m1) - 30.0 * F) / (12.0 * h ** 2)
 
     def dthetaphi(self, F, parity=1):
         return self.dphi(self.dtheta(F, parity))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import _derivative, _fields, _first_kind
+from .ambient import _bilinear, _derivative, _fields, _first_kind
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid, resample, restrict
@@ -139,6 +139,18 @@ class SurfaceGeometry:
         return _fields(self.space, self.X, self.ginv_amb, self.dg_amb, self.k_amb)
 
     @cached_property
+    def ric_nn(self):
+        """Ric(nu, nu) at the nodes."""
+        return _bilinear(self.ambient.ricci, self.nu, self.nu)
+
+    @cached_property
+    def dnu_k_trace(self):
+        """nabla_nu tr k - (nabla_nu k)(nu, nu) at the nodes; an exact 0 when k = 0."""
+        if self.space.time_symmetric:
+            return np.zeros(self.H.shape)
+        return tangential_trace_dnu_k(self, self.ambient.nabla_k)
+
+    @cached_property
     def gauss_curvature(self):
         """K = Sc_Sigma / 2, intrinsic, computed on first use from the induced metric."""
         g2 = self.induced_metric
@@ -208,7 +220,7 @@ def _completed(space, stage):
     grid = mesh.grid
     r = mesh.radius
     r_tt = grid.d2theta(r)
-    r_tp = grid.dthetaphi(r)
+    r_tp = grid.dphi(r_t)
     r_pp = grid.d2phi(r)
     nh, nh_t, nh_p = grid.nhat, grid.dth_nhat, grid.dph_nhat
     X_tt = r_tt[..., None] * nh + 2.0 * r_t[..., None] * nh_t + r[..., None] * grid.d2th_nhat
@@ -225,7 +237,7 @@ def _completed(space, stage):
     ginv2 = _sym2(inv_tt, inv_tp, inv_pp)
 
     # normal covector ~ eps_abc e_theta^b e_phi^c, raised and normalized
-    n_cov = np.cross(e_t, e_p)
+    n_cov = _cross(e_t, e_p)
     n_up = (ginv @ n_cov[..., None])[..., 0]
     nu = n_up / np.sqrt(_dot(n_up, n_cov))[..., None]
     orient = np.sign(_dot(nu, X - mesh.center))
@@ -272,6 +284,13 @@ def _completed(space, stage):
 
 def _dot(u, v):
     return np.einsum("...a,...a->...", u, v)
+
+
+def _cross(u, v):
+    """u x v per node, each component formed as np.cross forms it."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
 def _sym2(xx, xy, yy):
@@ -381,14 +400,13 @@ def surface_laplacian(geom, f):
 def tangential_divergence(geom, V):
     """div_Sigma of the tangential projection of an ambient vector field V."""
     # covariant surface components select the tangential part automatically
-    V_t = np.einsum("...ab,...a,...b->...", geom.g_amb, V, geom.e_theta)
-    V_p = np.einsum("...ab,...a,...b->...", geom.g_amb, V, geom.e_phi)
+    V_t = _bilinear(geom.g_amb, V, geom.e_theta)
+    V_p = _bilinear(geom.g_amb, V, geom.e_phi)
     return _divergence(geom, *_raise_index(geom, V_t, V_p))
 
 
 def gauss_equation_check(space, geom):
     """Residual of Sc_Sigma = Sc_M - 2 Ric(nu,nu) + H^2/2 - |B_ring|^2."""
-    fields = ambient_fields(space, geom)
-    ric_nn = np.einsum("...ab,...a,...b->...", fields.ricci, geom.nu, geom.nu)
-    rhs = fields.scalar - 2.0 * ric_nn + 0.5 * geom.H ** 2 - geom.traceless_sq
+    rhs = (ambient_fields(space, geom).scalar - 2.0 * geom.ric_nn + 0.5 * geom.H ** 2
+           - geom.traceless_sq)
     return 2.0 * geom.gauss_curvature - rhs

@@ -43,14 +43,33 @@ def test_eval_on_k_data_keeps_stderr_empty(tmp_path):
         "grid": [16, 32],
         "output": {"dir": str(tmp_path)},
     })
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "qll.cli", "eval", "--config", cfg], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_cli_process("eval", cfg)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads((tmp_path / "report.json").read_text())["brown_york"] is not None
+
+
+def run_cli_process(task, cfg, *args):
+    """`python -m qll.cli task --config cfg *args` in a new process with this checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qll.cli", task, "--config", cfg, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("task,run", [
+    ("eval", {"space": {"name": "euclidean"}, "surface": {"sphere_r": 1e200}}),
+    ("eval", {"space": {"name": "schwarzschild"}, "surface": {"sphere_r": 1e200}}),
+    ("sweep", {"space": {"name": "schwarzschild"}, "sweep": {"r_values": [4.0, 1e200]}}),
+], ids=["eval-euclidean", "eval-schwarzschild", "sweep-schwarzschild"])
+def test_non_finite_chart_radius_is_one_error_line(tmp_path, task, run):
+    # |x|^2 overflows: one error line that names the chart radius, and no numpy warning
+    cfg = write_config(tmp_path / "run.json", dict(run, grid=[16, 32]))
+    proc = run_cli_process(task, cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "non-finite chart radius" in proc.stderr
 
 
 def test_eval_deterministic_bytes(tmp_path):
@@ -310,6 +329,13 @@ def broken_sweep(**fields):
                                               **fields)})
 
 
+def sweep_with(catalog_space, **top):
+    """A catalog-space (or radial-model) sweep run with the given top-level fields."""
+    run = ({"space": {"name": "schwarzschild"}, "sweep": {"r_values": [4.0]}} if catalog_space
+           else {"sweep": {"model": "schwarzschild", "r_values": [4.0]}})
+    return "sweep", json.dumps(dict(run, **top))
+
+
 @pytest.mark.parametrize("breakage", [
     lambda: ("eval", "{broken"),
     lambda: ("eval", json.dumps({"space": {"name": "euclidean"}, "grid": [48, 96]})),
@@ -377,6 +403,12 @@ def broken_sweep(**fields):
     lambda: ("sweep", json.dumps({"space": {"name": "schwarzschild"},
                                   "sweep": {"model": "schwarzschild", "r_values": [4.0]}}),
              "sweep.model"),
+    # a setting that a sweep would not read is an error that names it
+    lambda: (*sweep_with(True, surface={"sphere_r": 1.0, "center": [0.5, 0.0, 0.0]}),
+             "'surface'", "catalog-space sweep"),
+    lambda: (*sweep_with(True, lambda_el=0.3), "'lambda_el'", "catalog-space sweep"),
+    lambda: (*sweep_with(False, Lambda=-3.0), "'Lambda'", "radial-model sweep"),
+    lambda: (*sweep_with(False, hypothesis={"beta": 0.25}), "'hypothesis'", "radial-model sweep"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

@@ -103,3 +103,32 @@ def test_pole_continuation_identity():
     f = np.sin(th) ** 2 * np.cos(2 * ph) + np.cos(th)
     doubled = grid._doubled(f, 1)
     assert np.allclose(doubled[grid.ntheta:], np.roll(f, grid.nphi // 2, axis=1))
+
+
+BIT_GRIDS = [(12, 24), (16, 32), (48, 96)]
+
+
+def roll_dphi(grid, F):
+    h = grid.dphi_step
+    return (8.0 * (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1))
+            - (np.roll(F, -2, axis=1) - np.roll(F, 2, axis=1))) / (12.0 * h)
+
+
+def roll_d2phi(grid, F):
+    h = grid.dphi_step
+    return (-(np.roll(F, -2, axis=1) + np.roll(F, 2, axis=1))
+            + 16.0 * (np.roll(F, -1, axis=1) + np.roll(F, 1, axis=1))
+            - 30.0 * F) / (12.0 * h ** 2)
+
+
+@pytest.mark.parametrize("shape", BIT_GRIDS, ids=[f"{nt}x{nph}" for nt, nph in BIT_GRIDS])
+def test_phi_stencils_and_doubling_equal_the_roll_forms(shape):
+    # the same operations in the same order as the np.roll stencils: equal, not close
+    grid = SphereGrid(*shape)
+    F = np.random.default_rng(shape[0]).standard_normal(shape) * np.logspace(-6, 6, shape[1])
+    assert np.array_equal(grid.dphi(F), roll_dphi(grid, F))
+    assert np.array_equal(grid.d2phi(F), roll_d2phi(grid, F))
+    for parity in (1, -1):
+        rolled = np.concatenate([F, parity * np.roll(F, grid.nphi // 2, axis=1)], axis=0)
+        assert np.array_equal(grid._doubled(F, parity), rolled)
+        assert np.array_equal(grid.dtheta(F, parity), grid._dt1 @ rolled)

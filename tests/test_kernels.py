@@ -153,3 +153,26 @@ def test_time_symmetric_mu_keeps_the_sign_of_zero(monkeypatch):
     mu = amb.constraint_data_at(catalog("euclidean"), np.ones((4, 3))).mu
     assert mu.tobytes() == (0.5 * (scalar + 0.0 ** 2 - 0.0)).tobytes()
     assert not np.signbit(mu[0])
+
+
+BIT_GRIDS = [(12, 24), (16, 32), (48, 96)]
+
+
+@pytest.mark.parametrize("shape", BIT_GRIDS, ids=[f"{nt}x{nph}" for nt, nph in BIT_GRIDS])
+def test_rewritten_kernels_equal_their_numpy_forms(shape):
+    # each kernel does the operations of its old form in the same order: equal, not close
+    rng = np.random.default_rng(shape[0])
+
+    def field(*tail):
+        return rng.standard_normal(shape + tail) * 10.0 ** rng.integers(-6, 7, shape + tail)
+
+    gamma, k, dk = field(3, 3, 3), field(3, 3), field(3, 3, 3)
+    corr = np.moveaxis(gamma, -3, -1) @ k[..., None, :, :]
+    assert np.array_equal(amb._nabla_k(gamma, k, dk), dk - corr - np.swapaxes(corr, -1, -2))
+    M, u, v = field(3, 3), field(3), field(3)
+    assert np.array_equal(sf._bilinear(M, u, v), np.einsum("...ab,...a,...b->...", M, u, v))
+    assert np.array_equal(sf._cross(u, v), np.cross(u, v))
+    # einsum sums from +0.0, so a sum of -0.0 terms is +0.0, which array_equal does not see
+    Z, u, v = -np.zeros(shape + (3, 3)), np.abs(u), np.abs(v)
+    assert not np.any(np.signbit(np.einsum("...ab,...a,...b->...", Z, u, v)))
+    assert not np.any(np.signbit(sf._bilinear(Z, u, v)))

@@ -370,3 +370,37 @@ def test_mean_curvature_sign_convention(grid32, euclidean):
     geom = sf.induced_geometry(euclidean, sf.coordinate_sphere(grid32, 1.0))
     outward = np.einsum("...a,...a->...", geom.nu, geom.X)
     assert np.all(outward > 0.0)
+
+
+@pytest.mark.parametrize("name", ["hyperboloid", "schwarzschild"])
+def test_each_ambient_contraction_runs_once_per_surface(grid24, name, request, monkeypatch):
+    # Ric(nu, nu) and nabla_nu tr k - (nabla_nu k)(nu, nu) are cached on the geometry and
+    # read by the energy report, both residual modes and the Gauss-equation check; the
+    # second is never contracted on k = 0 data, where it is an exact +0.0
+    space = request.getfixturevalue(name)
+    traces, ric_nn = [], []
+    trace, bilinear = sf.tangential_trace_dnu_k, sf._bilinear
+
+    def counted_trace(geom, nabla_k):
+        traces.append(geom)
+        return trace(geom, nabla_k)
+
+    def counted_bilinear(M, u, v):
+        if M is geom.ambient.ricci:
+            ric_nn.append(M)
+        return bilinear(M, u, v)
+
+    monkeypatch.setattr(sf, "tangential_trace_dnu_k", counted_trace)
+    monkeypatch.setattr(sf, "_bilinear", counted_bilinear)
+    r0 = 4.0 if name == "schwarzschild" else 1.0
+    geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, r0, [(2, 1, 0.05)]))
+    energy_report(space, geom)
+    residual_report(space, geom, "willmore")
+    residual_report(space, geom, "hawking")
+    sf.gauss_equation_check(space, geom)
+    assert len(ric_nn) == 1
+    if space.time_symmetric:
+        assert traces == []
+        assert np.all(geom.dnu_k_trace == 0.0) and not np.any(np.signbit(geom.dnu_k_trace))
+    else:
+        assert traces == [geom]

@@ -56,6 +56,11 @@ CONFIGS = [
     ("flow-euclidean-Y20", "flow", {
         "space": {"name": "euclidean"}, "mode": "willmore", "grid": [16, 32],
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.05]]}}),
+    # the nested chain 48x96 -> 24x48 -> 12x24, with two prolongations
+    ("flow-schwarzschild-willmore-48x96", "flow", {
+        "space": {"name": "schwarzschild", "params": {"m": 1.0}}, "mode": "willmore",
+        "grid": [48, 96], "flow": {"target_area": 64.0 * math.pi},
+        "surface": {"round_r": 4.0, "perturbations": [[2, 2, 0.03], [3, -1, 0.02]]}}),
     ("flow-hyperboloid-hawking", "flow", {
         "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "mode": "hawking",
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]},

@@ -34,18 +34,22 @@ above cannot see, is at most BAND_RTOL.  Every level solves the same problem
 grid): it is continued from the level below, its mesh prolonged by
 zero-padding the coefficients, which is exact because every accepted step is
 band-limited, and runs the same descent, whose stop test gives that level's
-verdict; the requested grid's gives the flow's.  max_steps bounds the steps
-of all levels together.  The history holds only the requested grid's
-records, so F is compared on one quadrature and stays monotone over it;
-their step numbers continue from the steps taken before them (coarse_steps:
-on the coarser levels, and in a stalled first continuation, see below).  If a coarser level or a prolongation raises, the
-level above descends directly from its own restricted mesh, counting on from
-the failed level's steps when its FlowError carries them, so the chain adds
-no failure mode; the requested grid's descent raises as a direct one does.
-F's roundoff can stall a coarse level just above residual_tol, and the
-requested grid after it: when both the requested grid and the level below,
-continued from a coarser one, stagnate, the requested grid continues once
-more from the level below descended directly from its own restricted mesh.
+verdict; the requested grid's gives the flow's.  Restriction and
+prolongation are the one transfer SurfaceMesh.resampled (harmonics.resample),
+whose share the band guard reads.  max_steps bounds the steps of all levels
+together.  The history holds only the requested grid's records, so F is
+compared on one quadrature and stays monotone over it; their step numbers
+continue from the steps taken before them, on the coarser levels and in a
+stalled first continuation (see below).  Each descent records the step it
+starts from as its state's coarse_steps.  If a coarser level or a
+prolongation raises, the level above descends directly from its own
+restricted mesh, counting on from the failed level's steps when its
+FlowError carries them, so the chain adds no failure mode; the requested
+grid's descent raises as a direct one does.  F's roundoff can stall a
+coarse level just above residual_tol, and the requested grid after it: when
+both the requested grid and the level below, continued from a coarser one,
+stagnate, the requested grid continues once more from the level below
+descended directly from its own restricted mesh.
 """
 
 from dataclasses import dataclass, field
@@ -134,7 +138,7 @@ def _restricted(mesh):
     if grid.ntheta // 2 < COARSE_MIN_NTHETA or grid.nphi < 16:   # SphereGrid needs nphi >= 8
         return None
     try:
-        coarse, share = mesh.restricted(grid.coarse_grid)
+        coarse, share = mesh.resampled(grid.coarse_grid)
     except GeometryError:
         return None
     return coarse if share <= BAND_RTOL else None
@@ -157,7 +161,7 @@ def _solve(space, config, stage, target, requested=True):
             coarse = sf._area_stage(space, coarse)
             below = _solve(space, config, coarse, target, False)
             step = below.step_index
-            prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid))
+            prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid)[0])
         except FlowError as exc:      # the direct descent below counts on from the failure
             if exc.state is not None:
                 step = exc.state.step_index
@@ -165,7 +169,6 @@ def _solve(space, config, stage, target, requested=True):
             pass
         else:
             state = _descend(space, config, prolonged, target, step)
-            state.coarse_steps = step
             if not (requested and state.status == below.status == "stagnated"
                     and below.coarse_steps > 0):
                 return state
@@ -173,19 +176,16 @@ def _solve(space, config, stage, target, requested=True):
             # once more, from the level below descended directly
             try:
                 below = _descend(space, config, coarse, target, state.step_index)
-                prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid))
-                again = _descend(space, config, prolonged, target, below.step_index)
+                prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid)[0])
+                return _descend(space, config, prolonged, target, below.step_index)
             except QLLError:
                 return state
-            again.coarse_steps = below.step_index
-            return again
-    state = _descend(space, config, stage, target, step)
-    state.coarse_steps = step
-    return state
+    return _descend(space, config, stage, target, step)
 
 
 def _descend(space, config, stage, target, step=0):
-    """The descent on the grid of the area stage's mesh, its first record numbered step.
+    """The descent on the grid of the area stage's mesh, its first record numbered step
+    (the state's coarse_steps).
 
     config.max_steps bounds the step numbers, so it bounds the steps of every
     level together.
@@ -238,9 +238,6 @@ def _descend(space, config, stage, target, step=0):
                 stalled = True
                 break
             new_radius = geom.mesh.radius + trial_dt * rate
-            if np.any(new_radius <= 0.0):
-                trial_dt *= BACKTRACK_FACTOR
-                continue
             try:
                 trial = sf._area_stage(space, SurfaceMesh(grid, new_radius, geom.mesh.center))
                 trial_geom = _rescale_to_area(space, trial, target)
@@ -266,4 +263,5 @@ def _descend(space, config, stage, target, step=0):
 
     return FlowState(mesh=geom.mesh, status=status, step_index=step,
                      functional=functional, area=geom.area,
-                     l2_residual=history[-1].residual, history=history)
+                     l2_residual=history[-1].residual, history=history,
+                     coarse_steps=history[0].step)

@@ -24,9 +24,9 @@ SIXTEEN_PI = 16.0 * np.pi
 ROUND_K_TOL = 1e-3
 
 
-def _hawking_mass(area, integral, charge_term=0.0):
-    """sqrt(|S|/16pi) (1 + charge_term - integral/16pi), shared by every energy."""
-    return np.sqrt(area / SIXTEEN_PI) * (1.0 + charge_term - integral / SIXTEEN_PI)
+def _hawking_mass(area, functional, charge_term=0.0):
+    """sqrt(|S|/16pi) (1 + charge_term - F/4pi) of a quarter-integral F, for every energy."""
+    return np.sqrt(area / SIXTEEN_PI) * (1.0 + charge_term - functional / FOUR_PI)
 
 
 def hawking_functional(geom):
@@ -36,7 +36,7 @@ def hawking_functional(geom):
 
 def hawking_energy(geom):
     """sqrt(|S|/16pi) (1 - (1/16pi) int (H^2 - P^2) dmu)."""
-    return _hawking_mass(geom.area, sf.integrate(geom, geom.H ** 2 - geom.P ** 2))
+    return _hawking_mass(geom.area, hawking_functional(geom))
 
 
 def charge_flux(geom):
@@ -56,14 +56,15 @@ def charged_hawking_energy(geom, extra_charge_sq=0.0):
     Q^2 term.
     """
     Q = charge_flux(geom)
-    val = _hawking_mass(geom.area, sf.integrate(geom, geom.H ** 2 - geom.P ** 2),
+    val = _hawking_mass(geom.area, hawking_functional(geom),
                         FOUR_PI * (Q ** 2 + extra_charge_sq) / geom.area)
     return Q, float(val), "H2" if geom.space.time_symmetric else "H2-P2"
 
 
 def lambda_hawking_energy(geom, Lambda):
     """Hawking energy with cosmological constant (time-symmetric form)."""
-    return _hawking_mass(geom.area, sf.integrate(geom, geom.H ** 2 + (4.0 / 3.0) * Lambda))
+    return _hawking_mass(geom.area,
+                         0.25 * sf.integrate(geom, geom.H ** 2 + (4.0 / 3.0) * Lambda))
 
 
 def f_integrals(space, geom, beta=0.25, lam=0.0):
@@ -155,7 +156,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0):
     w2 = sf.integrate(geom, geom.H ** 2)
     p2 = sf.integrate(geom, geom.P ** 2)
     hf = 0.25 * (w2 - p2)
-    energy = _hawking_mass(geom.area, w2 - p2)
+    energy = _hawking_mass(geom.area, hf)
     # the field fill before K: K's small temporaries then reuse the heap the fill
     # leaves, which takes ~160 fewer page faults per 48x96 report
     fields = sf.ambient_fields(space, geom)

@@ -2,8 +2,9 @@
 
 Provides pointwise evaluation (surface perturbations, test lapses), a
 Gauss-Legendre-exact analysis/synthesis pair used to filter fields by
-spherical-harmonic degree, and resampling between grids through the
-coefficients.
+spherical-harmonic degree, and one transfer between grids through the
+coefficients (resample), which also reads the share of a field outside the
+target grid's band.
 """
 
 import numpy as np
@@ -54,9 +55,11 @@ def real_harmonic_grid(grid, l, m):
 class HarmonicTransform:
     """Analysis/synthesis between grid fields and harmonic coefficients.
 
-    Exact (to roundoff) for fields band-limited to degree lmax = ntheta - 1
-    and order |m| <= nphi/2 - 1; higher content is discarded, which makes `filtered`
-    a symmetric positive semi-definite smoother.
+    Coefficients are one complex array c[m, l], m = 0..mmax and l = 0..lmax,
+    zero where l < m (orders m < 0 follow from c_{l,-m} = conj(c_lm) for a real
+    field).  Exact (to roundoff) for fields band-limited to degree
+    lmax = ntheta - 1 and order |m| <= nphi/2 - 1; higher content is discarded,
+    which makes `filtered` a symmetric positive semi-definite smoother.
     """
 
     def __init__(self, grid):
@@ -69,71 +72,53 @@ class HarmonicTransform:
         self._wgl = grid.glweights
 
     def analyze(self, F):
-        """Complex coefficients c[m][l - m] of F against P~_l^m e^(i m phi)."""
+        """Complex coefficients c[m, l] of F against P~_l^m e^(i m phi)."""
         Fm = np.fft.rfft(F, axis=1) / self.grid.nphi
-        coeffs = []
+        c = np.zeros((self.mmax + 1, self.lmax + 1), dtype=complex)
         for m in range(self.mmax + 1):
-            coeffs.append(self._pm[m] @ (self._wgl * Fm[:, m]))
-        return coeffs
+            c[m, m:] = self._pm[m] @ (self._wgl * Fm[:, m])
+        return c
 
-    def synthesize(self, coeffs):
+    def synthesize(self, c):
         Fm = np.zeros((self.grid.ntheta, self.grid.nphi // 2 + 1), dtype=complex)
         for m in range(self.mmax + 1):
-            Fm[:, m] = self._pm[m].T @ coeffs[m]
+            Fm[:, m] = self._pm[m].T @ c[m, m:]
         return np.fft.irfft(Fm * self.grid.nphi, n=self.grid.nphi, axis=1)
 
     def filtered(self, F, damping):
         """Apply a per-degree factor damping(l) (array over l = 0..lmax)."""
-        damping = np.asarray(damping, dtype=float)
-        coeffs = self.analyze(F)
-        for m in range(self.mmax + 1):
-            coeffs[m] = coeffs[m] * damping[m:self.lmax + 1]
-        return self.synthesize(coeffs)
+        return self.synthesize(self.analyze(F) * np.asarray(damping, dtype=float))
 
 
 def resample(F, source, target):
-    """F on grid source carried to grid target through its harmonic coefficients.
+    """F on grid source carried to grid target, and the L2 share of F outside target's band.
 
-    Coefficients outside the target's band are dropped (restriction) and those
-    outside the source's band are zero (prolongation), so a field inside both
-    bands is carried exactly, to roundoff.
+    The field goes through the harmonic coefficients of one analysis on
+    source: those outside target's band are dropped (restriction) and those
+    outside source's band are zero (prolongation), so a field inside both
+    bands is carried exactly, to roundoff.  The share ||F - P F|| / ||F||, with
+    P the projection onto target's degrees and orders, is read from the same
+    analysis: its coefficients outside target's band, plus the part of F that
+    the analysis cannot see (F less the synthesis of its coefficients: the phi
+    Nyquist mode, and degrees above source's band at each order), which the
+    restriction would otherwise drop unnoticed.
     """
-    return _synthesized(source.harmonic_transform.analyze(F), target.harmonic_transform)
-
-
-def restrict(F, source, target):
-    """F carried to the coarser grid target, and the L2 share of F outside its band.
-
-    The share ||F - P F|| / ||F||, with P the projection onto target's degrees
-    and orders, is read from the one analysis on source that also gives the
-    restriction: its coefficients outside target's band, plus the part of F
-    that the analysis cannot see (F less the synthesis of its coefficients:
-    the phi Nyquist mode, and degrees above source's band at each order), which
-    the restriction would otherwise drop unnoticed.
-    """
-    src = source.harmonic_transform
-    coeffs = src.analyze(F)
-    unseen = F - src.synthesize(coeffs)
+    src, dst = source.harmonic_transform, target.harmonic_transform
+    c = src.analyze(F)
+    unseen = F - src.synthesize(c)
     # squared norms in coefficient units: the quadrature over the sphere / (2 pi)
     weights = source.glweights[:, None] / source.nphi
     outside = float(np.sum(weights * unseen * unseen))
     total = float(np.sum(weights * F * F))
-    dst = target.harmonic_transform
-    for m, c in enumerate(coeffs):
+    for m in range(src.mmax + 1):
         weight = 1.0 if m == 0 else 2.0          # c_{l,-m} = conj(c_lm) for a real F
-        kept = dst.lmax - m + 1 if m <= dst.mmax else 0
-        outside += weight * np.vdot(c[kept:], c[kept:]).real
+        tail = c[m, dst.lmax + 1:] if m <= dst.mmax else c[m, m:]
+        outside += weight * np.vdot(tail, tail).real
     share = np.sqrt(outside / total) if total > 0.0 else 0.0
-    return _synthesized(coeffs, dst), float(share)
-
-
-def _synthesized(coeffs, dst):
-    """The field of the coefficients on dst's grid, those outside its band dropped."""
-    out = [np.zeros(dst.lmax - m + 1, dtype=complex) for m in range(dst.mmax + 1)]
-    for m in range(min(len(coeffs), dst.mmax + 1)):
-        n = min(len(coeffs[m]), dst.lmax - m + 1)
-        out[m][:n] = coeffs[m][:n]
-    return dst.synthesize(out)
+    kept = np.zeros((dst.mmax + 1, dst.lmax + 1), dtype=complex)
+    m, l = min(src.mmax, dst.mmax) + 1, min(src.lmax, dst.lmax) + 1
+    kept[:m, :l] = c[:m, :l]
+    return dst.synthesize(kept), float(share)
 
 
 def band_limited_field(grid, lmax, rng, scale=1.0):

@@ -18,7 +18,7 @@ import numpy as np
 from .ambient import _bilinear, _derivative, _fields, _first_kind
 from .errors import GeometryError
 from .grids import SphereGrid
-from .harmonics import real_harmonic_grid, resample, restrict
+from .harmonics import real_harmonic_grid, resample
 
 SQRT2 = np.sqrt(2.0)
 
@@ -48,13 +48,9 @@ class SurfaceMesh:
         return SurfaceMesh(self.grid, self.radius * factor, self.center)
 
     def resampled(self, grid):
-        """The same surface on another grid, its radius carried by harmonics.resample."""
-        return SurfaceMesh(grid, resample(self.radius, self.grid, grid), self.center)
-
-    def restricted(self, grid):
-        """The same surface on a coarser grid, and the L2 share of the radius
-        outside that grid's band (harmonics.restrict)."""
-        radius, share = restrict(self.radius, self.grid, grid)
+        """The same surface on another grid, and the L2 share of the radius outside
+        that grid's band, both from harmonics.resample."""
+        radius, share = resample(self.radius, self.grid, grid)
         return SurfaceMesh(grid, radius, self.center), share
 
 

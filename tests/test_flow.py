@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -472,6 +473,56 @@ def test_energy_on_flowed_hawking_surface(name, shape):
         assert report.hawking_energy >= -1e-10
 
 
+# the paper's Lambda statement on flowed Hawking surfaces: E_Lambda = 0 on the space
+# forms of scalar curvature 2 Lambda (rigidity), and E_Lambda = m - Lambda r^3 / 6 on
+# Schwarzschild, where Sc = 0 >= 2 Lambda (positivity; r is the areal radius).  The
+# space forms flow at the perturbed sphere's own area (a hemisphere of radius 1 has
+# no sphere of area 4 pi r0^2 for r0 >= 1), Schwarzschild at 64 pi.
+LAMBDA_SURFACE_CASES = [
+    (name, Lambda, r0, area, shape) for shape in ((32, 64), (48, 96)) for name, Lambda, r0, area in (
+        *[("hyperbolic", Lambda, r0, None) for Lambda in (-3.0, -0.75) for r0 in (1.0, 1.5)],
+        *[("hemisphere", Lambda, r0, None) for Lambda in (3.0, 0.75) for r0 in (1.0, 1.5)],
+        *[("schwarzschild", Lambda, 4.0, 64.0 * np.pi) for Lambda in (-0.03, -0.3)])]
+# the coarse-to-fine chain stagnates on these at 1.134e-5 and 1.61e-5, after 13
+# steps on 16x32 and 2 on 32x64, where the direct descent converges
+LAMBDA_SURFACE_STAGNATED = [("hyperbolic", -3.0, 1.0, None, (32, 64)),
+                            ("hemisphere", 0.75, 1.0, None, (32, 64))]
+
+
+def lambda_case_id(case):
+    name, Lambda, r0, _, (ntheta, nphi) = case
+    return f"{name}{Lambda:+g}-r{r0:g}-{ntheta}x{nphi}"
+
+
+@functools.cache
+def flowed_lambda_surface(name, Lambda, r0, area, shape):
+    """(flow state, energy report with Lambda) of a LAMBDA_SURFACE_CASES flow."""
+    space = catalog(name, m=1.0) if name == "schwarzschild" else catalog(name, Lambda=Lambda)
+    mesh = sf.round_sphere_with_harmonics(SphereGrid(*shape), r0, [(2, 0, 0.04), (3, 1, 0.02)])
+    config = flow.FlowConfig(mode="hawking", target_area=area, residual_tol=1e-5)
+    state = flow.run_flow(space, config, mesh)
+    return state, energy_report(space, sf.induced_geometry(space, state.mesh), Lambda=Lambda)
+
+
+@pytest.mark.parametrize("case", LAMBDA_SURFACE_CASES, ids=lambda_case_id)
+def test_lambda_energy_on_flowed_hawking_surface(case):
+    name, Lambda = case[:2]
+    _, report = flowed_lambda_surface(*case)
+    r = np.sqrt(report.area / (4.0 * np.pi))
+    expected = 1.0 - Lambda * r ** 3 / 6.0 if name == "schwarzschild" else 0.0
+    assert abs(report.lambda_energy - expected) < 1e-10
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(strict=True))
+    if case in LAMBDA_SURFACE_STAGNATED else case for case in LAMBDA_SURFACE_CASES],
+    ids=lambda_case_id)
+def test_flow_converges_on_lambda_surface_cases(case):
+    state, _ = flowed_lambda_surface(*case)
+    assert state.status == "converged"
+    assert state.l2_residual <= 1e-5
+
+
 def test_flow_stagnates_below_roundoff_floor(grid32, euclidean):
     # tolerance below the floor of the functional: the flow must stop
     # gracefully instead of looping on no-op steps
@@ -498,6 +549,24 @@ def test_flow_failure_carries_state(paraboloid):
     initial = sf.induced_geometry(paraboloid, mesh)
     assert err.value.state.functional == hawking_functional(initial)
     assert err.value.state.area == initial.area
+
+
+def test_trial_with_a_nonpositive_radius_backtracks(euclidean, monkeypatch):
+    # a first step of 10 (area radius)^4 drives two trial radii through zero:
+    # SurfaceMesh refuses them with a GeometryError and the line search backtracks
+    monkeypatch.setattr(flow, "INITIAL_STEP", 10.0)
+    nonpositive = []
+
+    def trial_mesh(grid, radius, center):
+        nonpositive.append(bool(np.any(radius <= 0.0)))
+        return sf.SurfaceMesh(grid, radius, center)
+
+    monkeypatch.setattr(flow, "SurfaceMesh", trial_mesh)
+    mesh = sf.round_sphere_with_harmonics(SphereGrid(16, 32), 1.0, [(2, 0, 0.05)])
+    state = flow.run_flow(euclidean, willmore_config(), mesh)
+    assert sum(nonpositive) == 2
+    assert state.step_index == 12
+    assert_converged_flow(euclidean, willmore_config(), state)
 
 
 def test_area_rescale_exact_in_curved_space(grid32, hyperboloid):

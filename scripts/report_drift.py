@@ -61,6 +61,14 @@ CONFIGS = [
         "space": {"name": "schwarzschild", "params": {"m": 1.0}}, "mode": "willmore",
         "grid": [48, 96], "flow": {"target_area": 64.0 * math.pi},
         "surface": {"round_r": 4.0, "perturbations": [[2, 2, 0.03], [3, -1, 0.02]]}}),
+    # the requested grid stagnates after a stalled level below and descends directly
+    # (seed 1607's tenth flow_solve cycle)
+    ("flow-hyperboloid-hawking-stalled-chain-48x96", "flow", {
+        "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "mode": "hawking",
+        "grid": [48, 96], "flow": {"target_area": 4.0 * math.pi},
+        "surface": {"round_r": 1.0, "perturbations": [
+            [2, 1, -0.014652818592739519], [2, -1, -0.0136123071993056],
+            [3, 2, 0.000735254635586647], [3, -2, 0.009972933401003355]]}}),
     ("flow-hyperboloid-hawking", "flow", {
         "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "mode": "hawking",
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]},

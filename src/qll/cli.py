@@ -217,6 +217,8 @@ class RunConfig:
                 _check(self.model, "sweep.model", self.model is not None, "given without a 'space'")
                 self.model_params = dict(sweep.get("params", {}))
                 if "n" in sweep:
+                    _check(self.model_params, "sweep.params.n", "n" not in self.model_params,
+                           "left out when 'sweep.n' is given")
                     self.model_params["n"] = sweep["n"]
                 return
         space = _fields(raw.get("space"), "space", {"name": None, "params": _object})
@@ -238,6 +240,9 @@ class RunConfig:
             vraw = _fields(raw.get("varcheck", {}), "varcheck", {"lapse": None, "s_values": _numbers})
             self.lapse = _fields(vraw.get("lapse", {"l": 2, "m": 0, "amplitude": 1.0}),
                                  "varcheck.lapse", _LAPSE_FIELDS)
+            _check(self.lapse, "varcheck.lapse", not ({"l", "m", "amplitude"} & self.lapse.keys()
+                                                      and {"seed", "lmax"} & self.lapse.keys()),
+                   "{l, m, amplitude} or {seed, lmax}, not a mix of the two")
             self.s_values = vraw.get("s_values", [1.6e-2, 8e-3, 4e-3])
             _check(self.s_values, "varcheck.s_values", 0.0 not in self.s_values, "nonzero")
 

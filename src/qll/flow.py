@@ -40,16 +40,14 @@ whose share the band guard reads.  max_steps bounds the steps of all levels
 together.  The history holds only the requested grid's records, so F is
 compared on one quadrature and stays monotone over it; their step numbers
 continue from the steps taken before them, on the coarser levels and in a
-stalled first continuation (see below).  Each descent records the step it
-starts from as its state's coarse_steps.  If a coarser level or a
-prolongation raises, the level above descends directly from its own
-restricted mesh, counting on from the failed level's steps when its
-FlowError carries them, so the chain adds no failure mode; the requested
-grid's descent raises as a direct one does.  F's roundoff can stall a
-coarse level just above residual_tol, and the requested grid after it: when
-both the requested grid and the level below, continued from a coarser one,
-stagnate, the requested grid continues once more from the level below
-descended directly from its own restricted mesh.
+stalled continuation (see below).  Each descent records the step it starts
+from as its state's coarse_steps.  One rule recovers the chain: the level
+descends directly from its own mesh, counting on from the steps taken
+before.  It applies when a coarser level or a prolongation raises (the
+failed level's steps count when its FlowError carries them), so the chain
+adds no failure mode, and when F's roundoff stalls the chain: the requested
+grid stagnates after a level below that stagnated too.  The requested
+grid's descent raises as a direct one does.
 """
 
 from dataclasses import dataclass, field
@@ -169,17 +167,9 @@ def _solve(space, config, stage, target, requested=True):
             pass
         else:
             state = _descend(space, config, prolonged, target, step)
-            if not (requested and state.status == below.status == "stagnated"
-                    and below.coarse_steps > 0):
+            if not (requested and state.status == below.status == "stagnated"):
                 return state
-            # F's roundoff stalled the level below and then this grid: continue
-            # once more, from the level below descended directly
-            try:
-                below = _descend(space, config, coarse, target, state.step_index)
-                prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid)[0])
-                return _descend(space, config, prolonged, target, below.step_index)
-            except QLLError:
-                return state
+            step = state.step_index   # F's roundoff stalled the chain: descend directly
     return _descend(space, config, stage, target, step)
 
 

@@ -110,9 +110,6 @@ class SphereGrid:
         m2, m1, p1, p2 = self._shifted(F)
         return (-(p2 + m2) + 16.0 * (p1 + m1) - 30.0 * F) / (12.0 * h ** 2)
 
-    def dthetaphi(self, F, parity=1):
-        return self.dphi(self.dtheta(F, parity))
-
     # -- unit-sphere direction fields (analytic, used to assemble embeddings)
 
     def _build_unit_sphere_fields(self):

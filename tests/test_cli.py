@@ -409,6 +409,11 @@ def sweep_with(catalog_space, **top):
     lambda: (*sweep_with(True, lambda_el=0.3), "'lambda_el'", "catalog-space sweep"),
     lambda: (*sweep_with(False, Lambda=-3.0), "'Lambda'", "radial-model sweep"),
     lambda: (*sweep_with(False, hypothesis={"beta": 0.25}), "'hypothesis'", "radial-model sweep"),
+    # a radial sweep sets its dimension once (sweep.n used to override sweep.params.n)
+    lambda: (*broken_sweep(n=4, params={"m": 1.0, "n": 5}), "sweep.params.n"),
+    # a lapse takes one of its two forms (seed and lmax used to be dropped)
+    lambda: (*broken("varcheck", varcheck={"lapse": {"l": 2, "m": 0, "seed": 7, "lmax": 4}}),
+             "varcheck.lapse"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

@@ -324,9 +324,12 @@ def test_fallback_counts_on_from_the_failed_level(grid48, euclidean, monkeypatch
 
 
 def stalling(grids, monkeypatch):
-    """Patch _descend so the first descent on each of these row counts reads stagnated."""
+    """Patch _descend so the first descent on each of these row counts reads stagnated.
+
+    Returns the (rows, step) of each call and the states the calls returned.
+    """
     descend = flow._descend
-    calls = []
+    calls, states = [], []
 
     def patched(space, config, stage, target, step=0):
         rows = stage.mesh.grid.ntheta
@@ -334,23 +337,23 @@ def stalling(grids, monkeypatch):
         state = descend(space, config, stage, target, step)
         if rows in grids and [n for n, _ in calls].count(rows) == 1:
             state.status = "stagnated"
+        states.append(state)
         return state
 
     monkeypatch.setattr(flow, "_descend", patched)
-    return calls
+    return calls, states
 
 
-def test_requested_grid_stalled_after_a_stalled_level_continues_once_more(grid48, euclidean,
-                                                                          monkeypatch):
-    # 24x48 (continued from 12x24) and then 48x96 stagnate: 24x48 descends
-    # directly from its own restricted mesh, counting on, and 48x96 continues
-    # from that solution
-    calls = stalling((24, 48), monkeypatch)
+def test_requested_grid_stalled_after_a_stalled_level_descends_directly(grid48, euclidean,
+                                                                       monkeypatch):
+    # 24x48 (continued from 12x24) and then 48x96 stagnate: 48x96 descends
+    # directly from its own mesh, counting on from its stalled steps
+    calls, states = stalling((24, 48), monkeypatch)
     mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
     state = flow.run_flow(euclidean, willmore_config(), mesh)
-    assert [n for n, _ in calls] == [12, 24, 48, 24, 48]
-    assert calls[3][1] == calls[2][1] > 0
-    assert state.coarse_steps == calls[4][1]
+    assert [n for n, _ in calls] == [12, 24, 48, 48]
+    assert calls[3][1] == states[2].step_index > 0
+    assert state is states[3] and state.coarse_steps == calls[3][1]
     assert state.history[0].step == state.coarse_steps
     assert_converged_flow(euclidean, willmore_config(), state)
 
@@ -358,13 +361,17 @@ def test_requested_grid_stalled_after_a_stalled_level_continues_once_more(grid48
 def test_stalled_levels_are_not_descended_again_without_cause(grid48, grid32, euclidean,
                                                               monkeypatch):
     # a stalled coarser level alone is continued from: its verdict is not the flow's
-    calls = stalling((12, 24), monkeypatch)
+    calls, _ = stalling((12, 24), monkeypatch)
     mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
     assert flow.run_flow(euclidean, willmore_config(), mesh).status == "converged"
     assert [n for n, _ in calls] == [12, 24, 48]
-    # a level below that descended directly would only repeat itself
-    calls = stalling((16, 32), monkeypatch)
+    # the requested grid stalled after a stalled level below descends directly
+    calls, _ = stalling((16, 32), monkeypatch)
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
+    assert flow.run_flow(euclidean, willmore_config(), mesh).status == "converged"
+    assert [n for n, _ in calls] == [16, 32, 32]
+    # a stalled requested grid after a level below that converged is the flow's verdict
+    calls, _ = stalling((32,), monkeypatch)
     assert flow.run_flow(euclidean, willmore_config(), mesh).status == "stagnated"
     assert [n for n, _ in calls] == [16, 32]
 
@@ -373,7 +380,7 @@ def test_rotated_seed_stalled_on_two_coarse_levels_converges():
     # seed 1607's tenth flow_solve cycle: the hyperboloid mixed seed rotated by
     # 3.8901948811856926 rad at 48x96; 12x24 stagnates at 1.41e-5, 24x48
     # continued from it at 1.23e-5, and 48x96 after them at 1.15e-5; 48x96
-    # converges when continued from 24x48 descended directly
+    # converges when it then descends directly from its own mesh
     perts = [(2, 1, -0.014652818592739519), (2, -1, -0.0136123071993056),
              (3, 2, 0.000735254635586647), (3, -2, 0.009972933401003355)]
     space = catalog("hyperboloid", a=1.0)

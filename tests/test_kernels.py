@@ -59,7 +59,7 @@ def reference_geometry(space, mesh):
     grid, r = mesh.grid, mesh.radius
     X = mesh.embedding()
     r_t, r_p = grid.dtheta(r), grid.dphi(r)
-    r_tt, r_tp, r_pp = grid.d2theta(r), grid.dthetaphi(r), grid.d2phi(r)
+    r_tt, r_tp, r_pp = grid.d2theta(r), grid.dphi(grid.dtheta(r)), grid.d2phi(r)
     nh, nh_t, nh_p = grid.nhat, grid.dth_nhat, grid.dph_nhat
     e_t = r_t[..., None] * nh + r[..., None] * nh_t
     e_p = r_p[..., None] * nh + r[..., None] * nh_p

@@ -82,6 +82,14 @@ CONFIGS = [
     ("sweep-schwarzschild-catalog", "sweep", {
         "space": {"name": "schwarzschild", "params": {"m": 1.0}},
         "sweep": {"r_values": [3.0, 5.0, 8.0]}, "hypothesis": {"beta": 0.25, "lambda": 0.0}}),
+    # the finest grid the benchmark's CLI runs: the k != 0 fill and a hawking residual
+    ("eval-hyperboloid-96x192", "eval", {
+        "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "grid": [96, 192],
+        "surface": {"round_r": 1.0, "perturbations": [[2, 1, 0.013], [3, -2, -0.011]]}}),
+    ("residual-schwarzschild-hawking-96x192", "residual", {
+        "space": {"name": "schwarzschild", "params": {"m": 1.0}}, "mode": "hawking",
+        "grid": [96, 192],
+        "surface": {"round_r": 4.0, "perturbations": [[2, 2, 0.013], [3, -1, -0.011]]}}),
     ("varcheck-seeded-lapse", "varcheck", {
         "space": {"name": "schwarzschild", "params": {"m": 1.0}},
         "surface": {"round_r": 4.0, "perturbations": [[2, 1, 0.03]]},

@@ -238,11 +238,19 @@ def curvature_at(space, points):
 def _nabla_k(gamma, k, dk):
     """(nabla_a k)_bc = d_a k_bc - Gamma^d_ab k_dc - Gamma^d_ac k_bd.
 
-    Gamma^d_ab k_dc is one (9 x 3) @ (3 x 3) product per point, with rows ab.
+    C_abc = Gamma^d_ab k_dc is one (9 x 3) @ (3 x 3) product per point, with
+    rows ab.  (dk - C) - C^T is written into C's own buffer, one (b, c)/(c, b)
+    pair at a time; no argument is written, as dk may be an array the space keeps.
     """
     batch = k.shape[:-2]
-    corr = (np.swapaxes(gamma.reshape(batch + (3, 9)), -1, -2) @ k).reshape(dk.shape)
-    return dk - corr - np.swapaxes(corr, -1, -2)
+    out = (np.swapaxes(gamma.reshape(batch + (3, 9)), -1, -2) @ k).reshape(dk.shape)
+    for b in range(3):
+        out[..., b, b] = (dk[..., b, b] - out[..., b, b]) - out[..., b, b]
+        for c in range(b + 1, 3):
+            bc = (dk[..., b, c] - out[..., b, c]) - out[..., c, b]
+            out[..., c, b] = (dk[..., c, b] - out[..., c, b]) - out[..., b, c]
+            out[..., b, c] = bc
+    return out
 
 
 def nabla_k_at(space, points):
@@ -294,6 +302,7 @@ def _fields(space, points, ginv, dg, k):
                              mu=0.5 * (scalar + 0.0), J=np.zeros(scalar.shape + (3,)),
                              jnorm=np.zeros(scalar.shape), ksq=np.zeros(scalar.shape))
     nk = _nabla_k(gamma, k, _derivative(space.dk_fn, space.k_fn, points))
+    del gamma
     kmix = ginv @ k                          # k^a_b
     trk = np.trace(kmix, axis1=-2, axis2=-1)
     ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
@@ -335,10 +344,13 @@ def _areal_fns(psi, u1):
         return eye + psi(r)[..., None, None] * _outer_xx(points)
 
     def dmetric(points):
-        # d_c g_ab = u1 x_c x_a x_b + psi d_c (x_a x_b)
+        # d_c g_ab = u1 x_c x_a x_b + psi d_c (x_a x_b), the u1 term added slice by
+        # slice c into the psi term's product, so that one rank-3 array is formed
         r = np.linalg.norm(points, axis=-1)
-        out = np.einsum("...c,...ab->...cab", points, u1(r)[..., None, None] * _outer_xx(points))
-        out += ((psi(r)[..., None] * points) @ _DXX).reshape(out.shape)
+        out = ((psi(r)[..., None] * points) @ _DXX).reshape(points.shape[:-1] + (3, 3, 3))
+        xx = u1(r)[..., None, None] * _outer_xx(points)
+        for c in range(3):
+            out[..., c, :, :] += points[..., c, None, None] * xx
         return out
 
     def ricci(points):

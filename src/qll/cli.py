@@ -240,9 +240,13 @@ class RunConfig:
             vraw = _fields(raw.get("varcheck", {}), "varcheck", {"lapse": None, "s_values": _numbers})
             self.lapse = _fields(vraw.get("lapse", {"l": 2, "m": 0, "amplitude": 1.0}),
                                  "varcheck.lapse", _LAPSE_FIELDS)
-            _check(self.lapse, "varcheck.lapse", not ({"l", "m", "amplitude"} & self.lapse.keys()
-                                                      and {"seed", "lmax"} & self.lapse.keys()),
-                   "{l, m, amplitude} or {seed, lmax}, not a mix of the two")
+            keys = self.lapse.keys()
+            _check(self.lapse, "varcheck.lapse", keys and not ({"l", "m", "amplitude"} & keys
+                                                               and {"seed", "lmax"} & keys),
+                   "{l, m, amplitude} or {seed, lmax}, not empty nor a mix of the two")
+            # a harmonic lapse names its degree; the seeded form has defaults for both keys
+            _check(self.lapse, "varcheck.lapse.l", "l" in keys or not {"m", "amplitude"} & keys,
+                   "given with 'm' or 'amplitude'")
             self.s_values = vraw.get("s_values", [1.6e-2, 8e-3, 4e-3])
             _check(self.s_values, "varcheck.s_values", 0.0 not in self.s_values, "nonzero")
 

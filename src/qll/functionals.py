@@ -157,8 +157,6 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0):
     p2 = sf.integrate(geom, geom.P ** 2)
     hf = 0.25 * (w2 - p2)
     energy = _hawking_mass(geom.area, hf)
-    # the field fill before K: K's small temporaries then reuse the heap the fill
-    # leaves, which takes ~160 fewer page faults per 48x96 report
     fields = sf.ambient_fields(space, geom)
     gb = abs(sf.integrate(geom, geom.gauss_curvature) - FOUR_PI)
     report = EnergyReport(

@@ -215,15 +215,6 @@ def _completed(space, stage):
     mesh, X, r_t, r_p, e_t, e_p, E, g, ginv, g_tt, g_tp, g_pp, det2, J, area = stage
     grid = mesh.grid
     r = mesh.radius
-    r_tt = grid.d2theta(r)
-    r_tp = grid.dphi(r_t)
-    r_pp = grid.d2phi(r)
-    nh, nh_t, nh_p = grid.nhat, grid.dth_nhat, grid.dph_nhat
-    X_tt = r_tt[..., None] * nh + 2.0 * r_t[..., None] * nh_t + r[..., None] * grid.d2th_nhat
-    X_tp = (r_tp[..., None] * nh + r_t[..., None] * nh_p
-            + r_p[..., None] * nh_t + r[..., None] * grid.dthph_nhat)
-    X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
-
     # g^{-1} is the area stage's, already checked; g is not evaluated again
     dg = _derivative(space.dmetric_fn, space.metric_fn, X)
     batch = X.shape[:-1]
@@ -241,17 +232,30 @@ def _completed(space, stage):
         raise GeometryError("could not orient the outward normal")
     nu = nu * orient[..., None]
     nu_cov = (g @ nu[..., None])[..., 0]
+    # each node tensor is formed as late and released as early as its readers allow
+    del n_cov, n_up
 
     # B_ij = -nu_a (X_ij^a + Gamma^a_bc e_i^b e_j^c); the Gamma part is the
     # bilinear form W_bc = nu_a Gamma^a_bc = nu^d T_dbc / 2 on the tangent
     # frame, formed from dg without Gamma
     T = _first_kind(dg).reshape(batch + (3, 9))
     W = ((0.5 * nu)[..., None, :] @ T).reshape(batch + (3, 3))
+    del T
     WE = W @ E
+    del W
+    r_tt = grid.d2theta(r)
+    r_tp = grid.dphi(r_t)
+    r_pp = grid.d2phi(r)
+    nh, nh_t, nh_p = grid.nhat, grid.dth_nhat, grid.dph_nhat
+    X_tt = r_tt[..., None] * nh + 2.0 * r_t[..., None] * nh_t + r[..., None] * grid.d2th_nhat
+    X_tp = (r_tp[..., None] * nh + r_t[..., None] * nh_p
+            + r_p[..., None] * nh_t + r[..., None] * grid.dthph_nhat)
+    X_pp = r_pp[..., None] * nh + 2.0 * r_p[..., None] * nh_p + r[..., None] * grid.d2ph_nhat
     B_tt = -(_dot(nu_cov, X_tt) + _dot(e_t, WE[..., 0]))
     B_tp = -(_dot(nu_cov, X_tp) + _dot(e_t, WE[..., 1]))
     B_pp = -(_dot(nu_cov, X_pp) + _dot(e_p, WE[..., 1]))
     B = _sym2(B_tt, B_tp, B_pp)
+    del X_tt, X_tp, X_pp, WE
 
     H = inv_tt * B_tt + 2.0 * inv_tp * B_tp + inv_pp * B_pp
     # |B_ring|^2 = tr(M^2) with M = g2^{-1} B_ring, clipped at 0 against cancellation noise

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qll import surface as sf
-from qll.cli import dumps_canonical, main
+from qll.cli import RunConfig, dumps_canonical, main
 from qll.grids import SphereGrid
 
 
@@ -243,6 +243,12 @@ def test_varcheck_task(tmp_path):
     assert [float(r.split(",")[0]) for r in rows[1:]] == [r["s"] for r in chk["rows"]]
 
 
+@pytest.mark.parametrize("lapse", [{"seed": 3}, {"lmax": 3}, {"l": 3}])
+def test_varcheck_lapse_keys_with_defaults(lapse):
+    # either seeded key alone, and l without m or amplitude, are lapses of their form
+    assert RunConfig(dict(VALID_RUN, varcheck={"lapse": lapse}), "varcheck").lapse == lapse
+
+
 def test_eval_with_cosmological_constant(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
         "space": {"name": "hyperbolic", "params": {"Lambda": -3.0}},
@@ -414,6 +420,10 @@ def sweep_with(catalog_space, **top):
     # a lapse takes one of its two forms (seed and lmax used to be dropped)
     lambda: (*broken("varcheck", varcheck={"lapse": {"l": 2, "m": 0, "seed": 7, "lmax": 4}}),
              "varcheck.lapse"),
+    # a harmonic-form key without l, or no key at all, used to run the seeded lapse
+    lambda: (*broken("varcheck", varcheck={"lapse": {"m": 1}}), "'varcheck.lapse.l'"),
+    lambda: (*broken("varcheck", varcheck={"lapse": {"amplitude": 2}}), "'varcheck.lapse.l'"),
+    lambda: (*broken("varcheck", varcheck={"lapse": {}}), "'varcheck.lapse'"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

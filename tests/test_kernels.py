@@ -8,6 +8,9 @@ full four-index contraction.  The closed-form kernels must agree with them to
 roundoff.
 """
 
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ import qll.ambient as amb
 from conftest import fd_space
 from qll import surface as sf
 from qll.ambient import _spd_inverse, catalog, christoffels_at
+from qll.functionals import energy_report
 from qll.grids import SphereGrid
 
 REL_TOL = 1e-12
@@ -155,7 +159,26 @@ def test_time_symmetric_mu_keeps_the_sign_of_zero(monkeypatch):
     assert not np.signbit(mu[0])
 
 
+def test_fill_leaves_an_array_the_space_keeps_unchanged(grid):
+    # a dk_fn may hand out an array it keeps; the fill reads it and writes its own buffers
+    base = catalog("hyperboloid", a=1.0)
+    mesh = _mesh(grid, 1.0)
+    kept = base.dk_fn(mesh.embedding())
+    before = kept.copy()
+    space = replace(base, dk_fn=lambda points: kept)
+    report = energy_report(space, sf.induced_geometry(space, mesh))
+    assert np.array_equal(kept, before)
+    assert report.as_dict() == energy_report(base, sf.induced_geometry(base, mesh)).as_dict()
+
+
 BIT_GRIDS = [(12, 24), (16, 32), (48, 96)]
+AREAL = [
+    ("euclidean", {}, 1.0),
+    ("schwarzschild", {"m": 1.0}, 4.0),
+    ("reissner_nordstrom", {"m": 1.0, "q": 0.5}, 4.0),
+    ("hyperbolic", {"a": 1.0}, 1.0),
+    ("paraboloid", {"alpha": 0.5}, 1.0),
+]
 
 
 @pytest.mark.parametrize("shape", BIT_GRIDS, ids=[f"{nt}x{nph}" for nt, nph in BIT_GRIDS])
@@ -167,8 +190,21 @@ def test_rewritten_kernels_equal_their_numpy_forms(shape):
         return rng.standard_normal(shape + tail) * 10.0 ** rng.integers(-6, 7, shape + tail)
 
     gamma, k, dk = field(3, 3, 3), field(3, 3), field(3, 3, 3)
+    args = [a.copy() for a in (gamma, k, dk)]
     corr = np.moveaxis(gamma, -3, -1) @ k[..., None, :, :]
     assert np.array_equal(amb._nabla_k(gamma, k, dk), dk - corr - np.swapaxes(corr, -1, -2))
+    # its own product is its only buffer: no argument is written
+    assert all(np.array_equal(a, b) for a, b in zip((gamma, k, dk), args))
+    # the areal dmetric adds the u1 term slice by slice to the psi term's product
+    grid = SphereGrid(*shape)
+    for name, params, r0 in AREAL:
+        space = catalog(name, **params)
+        x = _mesh(grid, r0).embedding()
+        r = np.linalg.norm(x, axis=-1)
+        fns = inspect.getclosurevars(space.dmetric_fn).nonlocals
+        ref = (np.einsum("...c,...ab->...cab", x, fns["u1"](r)[..., None, None] * amb._outer_xx(x))
+               + ((fns["psi"](r)[..., None] * x) @ amb._DXX).reshape(x.shape + (3, 3)))
+        assert np.array_equal(space.dmetric_fn(x), ref), name
     M, u, v = field(3, 3), field(3), field(3)
     assert np.array_equal(sf._bilinear(M, u, v), np.einsum("...ab,...a,...b->...", M, u, v))
     assert np.array_equal(sf._cross(u, v), np.cross(u, v))

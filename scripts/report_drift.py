@@ -90,6 +90,17 @@ CONFIGS = [
         "space": {"name": "schwarzschild", "params": {"m": 1.0}}, "mode": "hawking",
         "grid": [96, 192],
         "surface": {"round_r": 4.0, "perturbations": [[2, 2, 0.013], [3, -1, -0.011]]}}),
+    # k = 0: the charge flux and the f integrals read the fill's zero views
+    ("eval-reissner-nordstrom-hypothesis-96x192", "eval", {
+        "space": {"name": "reissner_nordstrom", "params": {"m": 1.0, "q": 0.5}},
+        "grid": [96, 192], "hypothesis": {"beta": 0.25, "lambda": 0.0},
+        "surface": {"round_r": 4.0, "perturbations": [[2, 1, 0.013], [3, 2, -0.011]]}}),
+    # k != 0 with nabla k from the space's dk_fn
+    ("residual-paraboloid-hawking-96x192", "residual", {
+        "space": {"name": "paraboloid", "params": {"alpha": 0.5}}, "mode": "hawking",
+        "grid": [96, 192],
+        "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.013], [3, 1, -0.011]],
+                    "center": [0.05, -0.03, 0.02]}}),
     ("varcheck-seeded-lapse", "varcheck", {
         "space": {"name": "schwarzschild", "params": {"m": 1.0}},
         "surface": {"round_r": 4.0, "perturbations": [[2, 1, 0.03]]},

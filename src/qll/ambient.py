@@ -36,6 +36,9 @@ class AmbientSpace:
     ricci_fn: object = None        # R_ab in closed form; None means R^a_bad from differenced d2g
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
+    # a when k = g / a (umbilic data): the build and the fill divide the g and dg they
+    # already hold by a, which gives bitwise the values of k_fn and dk_fn
+    umbilic_a: float = None
 
     @property
     def time_symmetric(self):
@@ -196,6 +199,17 @@ def _ricci(space, points, ginv, gamma, dg):
     return np.trace(_riemann_up(ginv, gamma, dg, d2g), axis1=-4, axis2=-2)
 
 
+def _reads_dg(space):
+    """Whether the ambient fill reads dg: for Gamma, which nabla k and a Ricci tensor
+    without a closed form need."""
+    return not space.time_symmetric or space.ricci_fn is None
+
+
+def _zeros(shape):
+    """A read-only +0.0 array of shape that holds one double (every stride is 0)."""
+    return np.broadcast_to(0.0, shape)
+
+
 def _bilinear(M, u, v):
     """M(u, v) = M_ab u^a v^b per point: einsum("...ab,...a,...b->...") term by term, with
     its products (M_ab u^a) v^b summed from 0 in its order, so the results are equal."""
@@ -264,7 +278,7 @@ class AmbientFields:
 
     ricci: np.ndarray      # R_ab
     scalar: np.ndarray
-    nabla_k: np.ndarray    # (nabla_a k)_bc
+    nabla_k: np.ndarray    # (nabla_a k)_bc; None on a k != 0 surface, which keeps its trace
     mu: np.ndarray
     J: np.ndarray          # covector components J_a
     jnorm: np.ndarray      # |J|_g
@@ -281,28 +295,34 @@ def constraint_data_at(space, points):
     J = div(k - (tr k) g) at chart points."""
     points = np.asarray(points, dtype=float)
     _, ginv = space._metric_and_inverse(points)
-    dg = _derivative(space.dmetric_fn, space.metric_fn, points)
+    dg = [_derivative(space.dmetric_fn, space.metric_fn, points)] if _reads_dg(space) else []
     return _fields(space, points, ginv, dg, space.k_tensor(points))
 
 
 def _fields(space, points, ginv, dg, k):
     """AmbientFields from first-order data already evaluated at points.
 
-    On time-symmetric data every k-term is an exact 0 and is not computed.
-    Gamma is formed only for nabla k and for a Ricci tensor the space does
-    not supply, which is then contracted from the Riemann tensor.
+    dg is [dg] when _reads_dg(space), else [].  The fill empties the list, so
+    that dg is freed once Gamma, Ric and dk exist: a caller's reference to an
+    argument would keep it alive until the return.  Gamma is formed only for
+    nabla k and for a Ricci tensor the space does not supply, which is then
+    contracted from the Riemann tensor.  On time-symmetric data every k-term
+    is an exact +0.0, a read-only zero view, and is not computed.
     """
-    gamma = (None if space.time_symmetric and space.ricci_fn is not None
-             else _christoffels(ginv, dg))
+    dg = dg.pop() if dg else None
+    gamma = None if dg is None else _christoffels(ginv, dg)
     ricci = _ricci(space, points, ginv, gamma, dg)
     scalar = _scalar(ginv, ricci)
     if space.time_symmetric:
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
-        return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=np.zeros(dg.shape),
-                             mu=0.5 * (scalar + 0.0), J=np.zeros(scalar.shape + (3,)),
-                             jnorm=np.zeros(scalar.shape), ksq=np.zeros(scalar.shape))
-    nk = _nabla_k(gamma, k, _derivative(space.dk_fn, space.k_fn, points))
-    del gamma
+        return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=_zeros(scalar.shape + (3, 3, 3)),
+                             mu=0.5 * (scalar + 0.0), J=_zeros(scalar.shape + (3,)),
+                             jnorm=_zeros(scalar.shape), ksq=_zeros(scalar.shape))
+    dk = (dg / space.umbilic_a if space.umbilic_a is not None
+          else _derivative(space.dk_fn, space.k_fn, points))
+    del dg
+    nk = _nabla_k(gamma, k, dk)
+    del gamma, dk
     kmix = ginv @ k                          # k^a_b
     trk = np.trace(kmix, axis1=-2, axis2=-1)
     ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
@@ -447,7 +467,7 @@ def _hyperboloid(a):
     def dk_fn(points):
         return fns["dmetric_fn"](points) / a
 
-    return AmbientSpace("hyperboloid", {"a": a}, k_fn=k_fn, dk_fn=dk_fn, **fns)
+    return AmbientSpace("hyperboloid", {"a": a}, k_fn=k_fn, dk_fn=dk_fn, umbilic_a=a, **fns)
 
 
 def _schwarzschild(m):

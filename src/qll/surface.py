@@ -10,12 +10,12 @@ intrinsic surface calculus and the Gauss-equation consistency check.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .ambient import _bilinear, _derivative, _fields, _first_kind
+from .ambient import _bilinear, _derivative, _fields, _first_kind, _reads_dg, _zeros
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid, resample
@@ -101,7 +101,11 @@ def load_mesh(path, grid=None):
 
 @dataclass
 class SurfaceGeometry:
-    """All induced data on the mesh; immutable after construction."""
+    """All induced data on the mesh; no value changes after construction.
+
+    Each array lives only until its last reader: the ambient fill takes dg, and on
+    k != 0 data keeps the normal trace of nabla k (dnu_k_trace), not nabla k.  On
+    k = 0 data k_amb and the fill's k-terms are read-only zero views."""
 
     space: object
     mesh: SurfaceMesh
@@ -111,8 +115,7 @@ class SurfaceGeometry:
     nu: np.ndarray              # outward unit normal, ambient components
     g_amb: np.ndarray           # ambient metric at nodes
     ginv_amb: np.ndarray
-    dg_amb: np.ndarray          # ambient metric derivatives d_c g_ab at nodes
-    k_amb: np.ndarray           # ambient k at nodes (zeros when time symmetric)
+    k_amb: np.ndarray           # ambient k at nodes (a zero view when time symmetric)
     induced_metric: np.ndarray  # (nt, np, 2, 2)
     inv_induced: np.ndarray
     area_element: np.ndarray    # sqrt(det g_Sigma)
@@ -124,27 +127,35 @@ class SurfaceGeometry:
     theta_plus: np.ndarray
     theta_minus: np.ndarray
     area: float
+    _dg: list = field(default_factory=list, repr=False)  # [d_c g_ab] until the fill takes it
 
     @property
     def grid(self):
         return self.mesh.grid
 
     @cached_property
+    def _fill(self):
+        """(AmbientFields, dnu_k_trace), built on first use from g^{-1}, dg and k."""
+        fields = _fields(self.space, self.X, self.ginv_amb, self._dg, self.k_amb)
+        if self.space.time_symmetric:
+            return fields, np.zeros(self.H.shape)
+        return replace(fields, nabla_k=None), tangential_trace_dnu_k(self, fields.nabla_k)
+
+    @property
     def ambient(self):
-        """AmbientFields at the nodes, built on first use from g^{-1}, dg and k."""
-        return _fields(self.space, self.X, self.ginv_amb, self.dg_amb, self.k_amb)
+        """AmbientFields at the nodes; nabla_k is None on k != 0 data, see dnu_k_trace."""
+        return self._fill[0]
 
     @cached_property
     def ric_nn(self):
         """Ric(nu, nu) at the nodes."""
         return _bilinear(self.ambient.ricci, self.nu, self.nu)
 
-    @cached_property
+    @property
     def dnu_k_trace(self):
-        """nabla_nu tr k - (nabla_nu k)(nu, nu) at the nodes; an exact 0 when k = 0."""
-        if self.space.time_symmetric:
-            return np.zeros(self.H.shape)
-        return tangential_trace_dnu_k(self, self.ambient.nabla_k)
+        """nabla_nu tr k - (nabla_nu k)(nu, nu) at the nodes, contracted by the fill from
+        nabla k, which is then freed; an exact 0 when k = 0."""
+        return self._fill[1]
 
     @cached_property
     def gauss_curvature(self):
@@ -239,6 +250,8 @@ def _completed(space, stage):
     # bilinear form W_bc = nu_a Gamma^a_bc = nu^d T_dbc / 2 on the tangent
     # frame, formed from dg without Gamma
     T = _first_kind(dg).reshape(batch + (3, 9))
+    # dg goes to the ambient fill, which takes it, or is freed here if the fill never reads it
+    dg = [dg] if _reads_dg(space) else []
     W = ((0.5 * nu)[..., None, :] @ T).reshape(batch + (3, 3))
     del T
     WE = W @ E
@@ -264,20 +277,21 @@ def _completed(space, stage):
     m_pt, m_pp = inv_tp * ring_tt + inv_pp * ring_tp, inv_tp * ring_tp + inv_pp * ring_pp
     traceless_sq = np.maximum(m_tt ** 2 + 2.0 * m_tp * m_pt + m_pp ** 2, 0.0)
 
-    k = space.k_tensor(X)
     if space.time_symmetric:
+        k = _zeros(batch + (3, 3))
         trk = P = np.zeros(batch)             # k = 0: every k-term is an exact 0
     else:
+        k = g / space.umbilic_a if space.umbilic_a is not None else space.k_tensor(X)
         trk = np.einsum("...ab,...ab->...", ginv, k)
         P = trk - _dot(nu, (k @ nu[..., None])[..., 0])
 
     geom = SurfaceGeometry(
         space=space, mesh=mesh, X=X, e_theta=e_t, e_phi=e_p, nu=nu,
-        g_amb=g, ginv_amb=ginv, dg_amb=dg, k_amb=k,
+        g_amb=g, ginv_amb=ginv, k_amb=k,
         induced_metric=g2, inv_induced=ginv2,
         area_element=J, second_form=B, H=H, traceless_sq=traceless_sq,
         trk=trk, P=P, theta_plus=(P + H) / SQRT2, theta_minus=(P - H) / SQRT2,
-        area=area)
+        area=area, _dg=dg)
     _check_build_invariants(geom, nu_cov)
     return geom
 

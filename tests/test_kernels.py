@@ -8,6 +8,7 @@ full four-index contraction.  The closed-form kernels must agree with them to
 roundoff.
 """
 
+import dataclasses
 import inspect
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ import qll.ambient as amb
 from conftest import fd_space
 from qll import surface as sf
 from qll.ambient import _spd_inverse, catalog, christoffels_at
+from qll.criticality import residual_report
 from qll.functionals import energy_report
 from qll.grids import SphereGrid
 
@@ -161,7 +163,8 @@ def test_time_symmetric_mu_keeps_the_sign_of_zero(monkeypatch):
 
 def test_fill_leaves_an_array_the_space_keeps_unchanged(grid):
     # a dk_fn may hand out an array it keeps; the fill reads it and writes its own buffers
-    base = catalog("hyperboloid", a=1.0)
+    # (the paraboloid's fill reads its dk_fn; the hyperboloid's divides dg by a instead)
+    base = catalog("paraboloid", alpha=0.5)
     mesh = _mesh(grid, 1.0)
     kept = base.dk_fn(mesh.embedding())
     before = kept.copy()
@@ -169,6 +172,45 @@ def test_fill_leaves_an_array_the_space_keeps_unchanged(grid):
     report = energy_report(space, sf.induced_geometry(space, mesh))
     assert np.array_equal(kept, before)
     assert report.as_dict() == energy_report(base, sf.induced_geometry(base, mesh)).as_dict()
+
+
+def _owners(obj, out):
+    """The arrays that own the memory behind each array reachable from obj, by id."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        out[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _owners(item, out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            _owners(getattr(obj, f.name), out)
+    return out
+
+
+@pytest.mark.parametrize("name, params, r0, mode", [
+    ("schwarzschild", {"m": 1.0}, 4.0, "analytic"),
+    ("hyperboloid", {"a": 1.0}, 1.0, "analytic"),
+    ("paraboloid", {"alpha": 0.5}, 1.0, "analytic"),
+    ("schwarzschild", {"m": 1.0}, 4.0, "fd"),
+    ("hyperboloid", {"a": 1.0}, 1.0, "fd"),
+], ids=["schwarzschild", "hyperboloid", "paraboloid", "schwarzschild-fd", "hyperboloid-fd"])
+def test_finished_surface_keeps_no_rank3_array(grid, name, params, r0, mode):
+    # dg has no reader once the fill exists and nabla k none once its normal trace is
+    # formed; a zero view owns one double, so the k = 0 fields do not count
+    space = _space(name, params, mode)
+    geom = sf.induced_geometry(space, _mesh(grid, r0))
+    energy_report(space, geom)
+    residual_report(space, geom, "willmore")
+    residual_report(space, geom, "hawking")
+    kept = _owners([*vars(geom).values(), geom.ambient], {}).values()
+    nodes = grid.ntheta * grid.nphi
+    assert [a.shape for a in kept if a.size >= 27 * nodes] == []
+    if space.time_symmetric:
+        fields = geom.ambient
+        for arr in (geom.k_amb, fields.nabla_k, fields.J, fields.jnorm, fields.ksq):
+            assert not arr.flags.writeable and not any(arr.strides)
 
 
 BIT_GRIDS = [(12, 24), (16, 32), (48, 96)]

@@ -192,7 +192,8 @@ def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
     cons = constraint_data_at(space, geom.X)
     assert_close(fields.ricci, curv.ricci)
     assert_close(fields.scalar, curv.scalar)
-    assert_close(fields.nabla_k, nabla_k_at(space, geom.X))
+    # the fill keeps only the normal trace of nabla k
+    assert_close(geom.dnu_k_trace, sf.tangential_trace_dnu_k(geom, nabla_k_at(space, geom.X)))
     assert_close(fields.mu, cons.mu)
     assert_close(fields.J, cons.J)
     assert_close(fields.mu - fields.jnorm, cons.dec_margin)
@@ -252,7 +253,8 @@ def _counted_space(space, names, calls):
 
 
 def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypatch):
-    # the field fill reads the catalog's closed-form Ricci tensor, once per surface
+    # the field fill reads the catalog's closed-form Ricci tensor, once per surface; the
+    # hyperboloid's k = g / a and dk = dg / a come from the g and dg the build holds
     calls = dict.fromkeys(("metric_fn", "dmetric_fn", "ricci_fn", "k_fn", "dk_fn",
                            "gauss_curvature"), 0)
     space = _counted_space(hyperboloid, list(calls)[:-1], calls)
@@ -270,7 +272,8 @@ def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypa
     energy_report(space, geom)
     sf.gauss_equation_check(space, geom)
     assert calls == {"metric_fn": 1, "dmetric_fn": 1, "ricci_fn": 1,
-                     "k_fn": 1, "dk_fn": 1, "gauss_curvature": 1}
+                     "k_fn": 0, "dk_fn": 0, "gauss_curvature": 1}
+    assert geom.k_amb.tobytes() == hyperboloid.k_fn(geom.X).tobytes()
 
 
 def test_time_symmetric_surface_never_forms_christoffels(grid24, schwarzschild, monkeypatch):

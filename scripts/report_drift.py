@@ -39,6 +39,11 @@ CONFIGS = [
     ("eval-hyperbolic-off-centre", "eval", {
         "space": {"name": "hyperbolic", "params": {"Lambda": -3.0}}, "Lambda": -3.0,
         "surface": {"sphere_r": 1.2, "center": [0.1, -0.05, 0.08]}}),
+    # degree 31 and orders 31, -30 lie on the edge of the 32x64 band, which a config keeps to
+    ("eval-schwarzschild-band-edge", "eval", {
+        "space": {"name": "schwarzschild", "params": {"m": 1.0}},
+        "surface": {"round_r": 4.0,
+                    "perturbations": [[31, 31, 1e-3], [31, -30, 1e-3], [2, 1, 0.02]]}}),
     ("residual-schwarzschild-hawking", "residual", {
         "space": {"name": "schwarzschild", "params": {"m": 1.0}}, "mode": "hawking",
         "surface": {"round_r": 4.0, "perturbations": [[2, 2, 0.03], [3, -1, 0.02]]}}),
@@ -69,6 +74,12 @@ CONFIGS = [
         "surface": {"round_r": 1.0, "perturbations": [
             [2, 1, -0.014652818592739519], [2, -1, -0.0136123071993056],
             [3, 2, 0.000735254635586647], [3, -2, 0.009972933401003355]]}}),
+    # below F's roundoff floor: both levels stagnate, and the requested grid then
+    # descends directly and stagnates
+    ("flow-euclidean-roundoff-floor", "flow", {
+        "space": {"name": "euclidean"}, "mode": "willmore",
+        "flow": {"residual_tol": 1e-14, "max_steps": 60},
+        "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]}}),
     ("flow-hyperboloid-hawking", "flow", {
         "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "mode": "hawking",
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]},

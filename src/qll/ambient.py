@@ -70,10 +70,9 @@ class AmbientSpace:
         return g, _spd_inverse(g, self.name)
 
     def k_tensor(self, points):
+        """k at points; a read-only zero view (_zeros) on time-symmetric data."""
         points = np.asarray(points, dtype=float)
-        if self.k_fn is None:
-            return np.zeros(points.shape[:-1] + (3, 3))
-        return self.k_fn(points)
+        return _zeros(points.shape[:-1] + (3, 3)) if self.k_fn is None else self.k_fn(points)
 
     def efield(self, points):
         if self.efield_fn is None:

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import surface as sf
 from .ambient import catalog
-from .criticality import VariationRow, first_variation_check, residual_report
+from .criticality import MODES, VariationRow, first_variation_check, residual_report
 from .errors import ConfigError, HypothesisError, QLLError
 from .flow import FlowConfig, FlowRecord, run_flow
 from .functionals import EnergyReport, energy_report, f_integrals
 from .grids import SphereGrid
-from .harmonics import band_limited_field, real_harmonic_grid
+from .harmonics import band, band_limited_field, real_harmonic_grid
 from .highdim import RadialSphereReport, radial_model, radial_sweep
 
 GRID_MIN = (16, 32)
@@ -148,6 +148,14 @@ def _perturbations(v, name):
              _number(a, f"{name}[{i}].amplitude")) for i, (l, m, a) in enumerate(v)]
 
 
+def _in_band(l, m, grid, name):
+    """A ConfigError naming name.l or name.m unless Y_lm lies in the band of grid
+    [ntheta, nphi]: 0 <= l <= lmax and |m| <= min(l, mmax)."""
+    lmax, mmax = band(*grid)
+    _check(l, f"{name}.l", 0 <= l <= lmax, f"a degree in [0, {lmax}] on this grid")
+    _check(m, f"{name}.m", abs(m) <= min(l, mmax), f"an order |m| <= min(l, {mmax}) on this grid")
+
+
 def _fields(obj, name, checks):
     """The entries of object obj, the field name ("" for the config itself), each validated
     by its check (None: taken as given); a key without a check is an error."""
@@ -190,12 +198,12 @@ class RunConfig:
         self.grid = _check(grid, "grid", ok, "[ntheta, nphi] integers")
         if self.grid[0] < GRID_MIN[0] or self.grid[1] < GRID_MIN[1]:
             raise ConfigError(f"field 'grid' must be at least {GRID_MIN}")
+        _check(self.grid, "grid", self.grid[1] % 2 == 0, "[ntheta, nphi] with an even nphi")
         out = _fields(raw.get("output", {}), "output", {
             "dir": lambda v, name: _check(v, name, isinstance(v, str), "a directory name"),
             "format": lambda v, name: _check(v, name, v in ("json", "csv"), "'json' or 'csv'")})
         self.out_dir = out_dir or out.get("dir", ".")
         self.fmt = fmt or out.get("format", "json")
-        self.mode = raw.get("mode", "hawking")
         self.Lambda, self.lambda_el = (None if raw.get(k) is None else _number(raw[k], k)
                                        for k in ("Lambda", "lambda_el"))
         hyp = _fields(raw.get("hypothesis") or {}, "hypothesis", _HYPOTHESIS_FIELDS)
@@ -226,6 +234,8 @@ class RunConfig:
         self.space_name, self.space_params = space["name"], space.get("params", {})
         if task == "sweep":
             return
+        self.mode = raw.get("mode", "hawking")
+        _check(self.mode, "mode", self.mode in MODES, f"one of {MODES}")
         surf = _fields(raw.get("surface"), "surface", _SURFACE_FIELDS)
         sources = [k for k in ("sphere_r", "mesh_file", "round_r") if k in surf]
         _check(surf, "surface", len(sources) == 1,
@@ -234,6 +244,8 @@ class RunConfig:
         self.source_value = surf[self.source]
         self.center = surf.get("center", [0.0, 0.0, 0.0])
         self.perturbations = surf.get("perturbations", [])
+        for i, (l, m, _) in enumerate(self.perturbations):
+            _in_band(l, m, self.grid, f"surface.perturbations[{i}]")
         if task == "flow":
             self.flow = _fields(raw.get("flow", {}), "flow", _FLOW_FIELDS)
         if task == "varcheck":
@@ -247,6 +259,13 @@ class RunConfig:
             # a harmonic lapse names its degree; the seeded form has defaults for both keys
             _check(self.lapse, "varcheck.lapse.l", "l" in keys or not {"m", "amplitude"} & keys,
                    "given with 'm' or 'amplitude'")
+            if "l" in keys:
+                _in_band(self.lapse["l"], self.lapse.get("m", 0), self.grid, "varcheck.lapse")
+            # a seeded lapse holds every order of every degree up to its lmax
+            mmax = band(*self.grid)[1]
+            _check(self.lapse, "varcheck.lapse.lmax", 2 <= self.lapse.get("lmax", 4) <= mmax,
+                   f"in [2, {mmax}] on this grid")
+            _check(self.lapse, "varcheck.lapse.seed", self.lapse.get("seed", 0) >= 0, ">= 0")
             self.s_values = vraw.get("s_values", [1.6e-2, 8e-3, 4e-3])
             _check(self.s_values, "varcheck.s_values", 0.0 not in self.s_values, "nonzero")
 

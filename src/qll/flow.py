@@ -40,8 +40,8 @@ whose share the band guard reads.  max_steps bounds the steps of all levels
 together.  The history holds only the requested grid's records, so F is
 compared on one quadrature and stays monotone over it; their step numbers
 continue from the steps taken before them, on the coarser levels and in a
-stalled continuation (see below).  Each descent records the step it starts
-from as its state's coarse_steps.  One rule recovers the chain: the level
+stalled continuation (see below), so the first record is the step at which
+the requested grid's descent began.  One rule recovers the chain: the level
 descends directly from its own mesh, counting on from the steps taken
 before.  It applies when a coarser level or a prolongation raises (the
 failed level's steps count when its FlowError carries them), so the chain
@@ -108,7 +108,6 @@ class FlowState:
     area: float
     l2_residual: float
     history: list = field(default_factory=list)   # the requested grid's records
-    coarse_steps: int = 0             # steps taken before the history's first record
 
 
 def _rescale_to_area(space, stage, target):
@@ -174,11 +173,11 @@ def _solve(space, config, stage, target, requested=True):
 
 
 def _descend(space, config, stage, target, step=0):
-    """The descent on the grid of the area stage's mesh, its first record numbered step
-    (the state's coarse_steps).
+    """The descent on the grid of the area stage's mesh, its first record numbered step.
 
     config.max_steps bounds the step numbers, so it bounds the steps of every
-    level together.
+    level together.  A step is accepted, rejected, stalled or degenerate (every
+    trial raised); a degenerate step raises, a rejected or stalled one stagnates.
     """
     grid = stage.mesh.grid
     history = []
@@ -217,15 +216,13 @@ def _descend(space, config, stage, target, step=0):
         speed = speed + _lambda_star(geom, speed) * geom.H
         rate = transform.filtered(radial_rate(geom, speed), ones)
 
-        accepted = False
-        degenerate_only = True
-        stalled = False
+        outcome = "degenerate"          # until a trial builds
         radius_scale = float(np.max(np.abs(geom.mesh.radius)))
         trial_dt = dt
         for _ in range(MAX_BACKTRACKS + 1):
             if trial_dt * float(np.max(np.abs(rate))) <= 1e-15 * radius_scale:
                 # step no longer changes the mesh at float resolution
-                stalled = True
+                outcome = "stalled"
                 break
             new_radius = geom.mesh.radius + trial_dt * rate
             try:
@@ -235,23 +232,22 @@ def _descend(space, config, stage, target, step=0):
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= BACKTRACK_FACTOR
                 continue
-            degenerate_only = False
             if trial_functional <= functional:
                 geom, functional = trial_geom, trial_functional
                 dt = min(trial_dt * STEP_GROWTH, dt_max)
-                accepted = True
+                outcome = "accepted"
                 break
+            outcome = "rejected"
             trial_dt *= BACKTRACK_FACTOR
-        if not accepted:
-            if degenerate_only and not stalled:
-                state = FlowState(geom.mesh, "failed", step, functional, geom.area,
-                                  rep.l2_residual, history)
-                raise FlowError("mesh degenerated during flow", state=state)
+        if outcome == "degenerate":
+            state = FlowState(geom.mesh, "failed", step, functional, geom.area,
+                              rep.l2_residual, history)
+            raise FlowError("mesh degenerated during flow", state=state)
+        if outcome != "accepted":
             status = "stagnated"
             break
         step += 1
 
     return FlowState(mesh=geom.mesh, status=status, step_index=step,
                      functional=functional, area=geom.area,
-                     l2_residual=history[-1].residual, history=history,
-                     coarse_steps=history[0].step)
+                     l2_residual=history[-1].residual, history=history)

@@ -162,7 +162,7 @@ def energy_report(space, geom, Lambda=None, beta=0.25, lam=0.0):
     report = EnergyReport(
         space_name=space.name,
         space_params=dict(space.params),
-        grid_resolution=geom.mesh.grid_resolution,
+        grid_resolution=(geom.grid.ntheta, geom.grid.nphi),
         area=geom.area,
         willmore_integral=w2,
         p_integral=p2,

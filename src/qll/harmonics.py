@@ -52,6 +52,11 @@ def real_harmonic_grid(grid, l, m):
     return real_harmonic(l, m, theta, phi) * np.ones((grid.ntheta, grid.nphi))
 
 
+def band(ntheta, nphi):
+    """(lmax, mmax), the degrees and orders that an ntheta x nphi grid resolves."""
+    return ntheta - 1, min(ntheta - 1, nphi // 2 - 1)
+
+
 class HarmonicTransform:
     """Analysis/synthesis between grid fields and harmonic coefficients.
 
@@ -64,8 +69,7 @@ class HarmonicTransform:
 
     def __init__(self, grid):
         self.grid = grid
-        self.lmax = grid.ntheta - 1
-        self.mmax = min(self.lmax, grid.nphi // 2 - 1)
+        self.lmax, self.mmax = band(grid.ntheta, grid.nphi)
         # per-m Legendre matrices on the Gauss-Legendre nodes
         self._pm = [_legendre_table(grid.costheta, self.lmax, m)
                     for m in range(self.mmax + 1)]

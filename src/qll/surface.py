@@ -37,10 +37,6 @@ class SurfaceMesh:
         if not np.all(np.isfinite(self.radius)) or np.any(self.radius <= 0.0):
             raise GeometryError("radius field must be positive and finite")
 
-    @property
-    def grid_resolution(self):
-        return (self.grid.ntheta, self.grid.nphi)
-
     def embedding(self):
         return self.center + self.radius[..., None] * self.grid.nhat
 
@@ -105,7 +101,8 @@ class SurfaceGeometry:
 
     Each array lives only until its last reader: the ambient fill takes dg, and on
     k != 0 data keeps the normal trace of nabla k (dnu_k_trace), not nabla k.  On
-    k = 0 data k_amb and the fill's k-terms are read-only zero views."""
+    k = 0 data k_amb (space.k_tensor's), trk, P, dnu_k_trace and the fill's k-terms
+    are read-only zero views (ambient._zeros)."""
 
     space: object
     mesh: SurfaceMesh
@@ -138,7 +135,7 @@ class SurfaceGeometry:
         """(AmbientFields, dnu_k_trace), built on first use from g^{-1}, dg and k."""
         fields = _fields(self.space, self.X, self.ginv_amb, self._dg, self.k_amb)
         if self.space.time_symmetric:
-            return fields, np.zeros(self.H.shape)
+            return fields, _zeros(self.H.shape)
         return replace(fields, nabla_k=None), tangential_trace_dnu_k(self, fields.nabla_k)
 
     @property
@@ -154,7 +151,7 @@ class SurfaceGeometry:
     @property
     def dnu_k_trace(self):
         """nabla_nu tr k - (nabla_nu k)(nu, nu) at the nodes, contracted by the fill from
-        nabla k, which is then freed; an exact 0 when k = 0."""
+        nabla k, which is then freed; a zero view when k = 0."""
         return self._fill[1]
 
     @cached_property
@@ -277,11 +274,10 @@ def _completed(space, stage):
     m_pt, m_pp = inv_tp * ring_tt + inv_pp * ring_tp, inv_tp * ring_tp + inv_pp * ring_pp
     traceless_sq = np.maximum(m_tt ** 2 + 2.0 * m_tp * m_pt + m_pp ** 2, 0.0)
 
+    k = g / space.umbilic_a if space.umbilic_a is not None else space.k_tensor(X)
     if space.time_symmetric:
-        k = _zeros(batch + (3, 3))
-        trk = P = np.zeros(batch)             # k = 0: every k-term is an exact 0
+        trk = P = _zeros(batch)               # k = 0: every k-term is an exact 0
     else:
-        k = g / space.umbilic_a if space.umbilic_a is not None else space.k_tensor(X)
         trk = np.einsum("...ab,...ab->...", ginv, k)
         P = trk - _dot(nu, (k @ nu[..., None])[..., 0])
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from qll import surface as sf
 from qll.cli import RunConfig, dumps_canonical, main
+from qll.errors import ConfigError
 from qll.grids import SphereGrid
 
 
@@ -424,6 +426,15 @@ def sweep_with(catalog_space, **top):
     lambda: (*broken("varcheck", varcheck={"lapse": {"m": 1}}), "'varcheck.lapse.l'"),
     lambda: (*broken("varcheck", varcheck={"lapse": {"amplitude": 2}}), "'varcheck.lapse.l'"),
     lambda: (*broken("varcheck", varcheck={"lapse": {}}), "'varcheck.lapse'"),
+    # mode is checked on every task that reads it ('wilmore' used to run eval, and to reach
+    # the library's error on residual and flow)
+    *[lambda task=task: (*broken(task, mode="wilmore"), "'mode'", "willmore")
+      for task in ("eval", "residual", "flow", "varcheck")],
+    # an odd nphi used to reach SphereGrid's own error
+    lambda: (*broken("eval", grid=[16, 33]), "'grid'", "even nphi"),
+    # Y_40,3 lies outside the 16x32 band (it used to be aliased silently)
+    lambda: (*broken("eval", surface={"round_r": 1.0, "perturbations": [[40, 3, 0.01]]}),
+             "'surface.perturbations[0].l'"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()
@@ -483,6 +494,64 @@ def test_exit_code_bad_grid_flag(tmp_path):
         "output": {"dir": str(tmp_path)},
     })
     assert main(["eval", "--config", cfg, "--grid", "banana"]) == 1
+
+
+def test_grid_flag_with_an_odd_nphi_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", dict(VALID_RUN, output={"dir": str(tmp_path)}))
+    assert main(["eval", "--config", cfg, "--grid", "16x33"]) == 1
+    assert capsys.readouterr().err == \
+        "error: field 'grid' must be [ntheta, nphi] with an even nphi\n"
+
+
+# a harmonic input at the edge of the run grid's band, and the same input one past
+# that edge: (task, grid, section at the edge, section past it, field the error names)
+def _surface(*perturbations):
+    return {"surface": {"round_r": 1.0, "perturbations": [list(t) for t in perturbations]}}
+
+
+def _lapse(**lapse):
+    return {"varcheck": {"lapse": lapse}}
+
+
+BAND_EDGES = {
+    "l-below-0": ("eval", [16, 32], _surface((0, 0, 0.01)), _surface((-1, 0, 0.01)),
+                  "surface.perturbations[0].l"),
+    "l-above-ntheta": ("eval", [16, 32], _surface((2, 0, 0.01), (15, 0, 0.01)),
+                       _surface((2, 0, 0.01), (16, 0, 0.01)), "surface.perturbations[1].l"),
+    "m-above-l": ("eval", [16, 32], _surface((3, 3, 0.01)), _surface((3, 4, 0.01)),
+                  "surface.perturbations[0].m"),
+    "m-below-minus-l": ("eval", [16, 32], _surface((3, -3, 0.01)), _surface((3, -4, 0.01)),
+                        "surface.perturbations[0].m"),
+    "m-above-nphi": ("eval", [24, 32], _surface((20, -15, 0.01)), _surface((20, -16, 0.01)),
+                     "surface.perturbations[0].m"),
+    "lapse-l-below-0": ("varcheck", [16, 32], _lapse(l=0), _lapse(l=-1), "varcheck.lapse.l"),
+    "lapse-l-above-ntheta": ("varcheck", [16, 32], _lapse(l=15), _lapse(l=16),
+                             "varcheck.lapse.l"),
+    "lapse-m-above-l": ("varcheck", [16, 32], _lapse(l=2, m=2), _lapse(l=2, m=3),
+                        "varcheck.lapse.m"),
+    "lapse-m-above-nphi": ("varcheck", [24, 32], _lapse(l=20, m=15), _lapse(l=20, m=16),
+                           "varcheck.lapse.m"),
+    "lapse-lmax-below-2": ("varcheck", [16, 32], _lapse(lmax=2), _lapse(lmax=1),
+                           "varcheck.lapse.lmax"),
+    "lapse-lmax-above-ntheta": ("varcheck", [16, 64], _lapse(lmax=15), _lapse(lmax=16),
+                                "varcheck.lapse.lmax"),
+    "lapse-lmax-above-nphi": ("varcheck", [24, 32], _lapse(lmax=15), _lapse(lmax=16),
+                              "varcheck.lapse.lmax"),
+    "lapse-seed-below-0": ("varcheck", [16, 32], _lapse(seed=0), _lapse(seed=-1),
+                           "varcheck.lapse.seed"),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(BAND_EDGES))
+def test_harmonic_inputs_lie_in_the_grid_band(edge):
+    task, grid, inside, outside, field = BAND_EDGES[edge]
+    RunConfig(dict(VALID_RUN, grid=grid, **inside), task)
+    named = rf"^field '{re.escape(field)}' must be"
+    with pytest.raises(ConfigError, match=named):
+        RunConfig(dict(VALID_RUN, grid=grid, **outside), task)
+    # with --grid, the band is the flag's grid
+    with pytest.raises(ConfigError, match=named):
+        RunConfig(dict(VALID_RUN, grid=[64, 128], **outside), task, grid="x".join(map(str, grid)))
 
 
 def test_exit_code_missing_subcommand():

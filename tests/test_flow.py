@@ -8,7 +8,7 @@ from qll import flow
 from qll import surface as sf
 from qll.ambient import catalog
 from qll.criticality import radial_rate, residual_report
-from qll.errors import FlowError
+from qll.errors import FlowError, GeometryError
 from qll.functionals import energy_report, hawking_energy, hawking_functional
 from qll.grids import SphereGrid
 from qll.harmonics import HarmonicTransform
@@ -71,7 +71,7 @@ def test_default_target_area_is_the_initial_area(grid24, euclidean):
     area = sf.induced_geometry(euclidean, mesh).area
     assert abs(area - 4.0 * np.pi) > 1.0
     state = flow.run_flow(euclidean, flow.FlowConfig(max_steps=3), mesh)
-    assert state.coarse_steps == 0
+    assert state.history[0].step == 0
     assert state.history[0].area == area
     assert state.step_index > 0
     assert abs(state.area - area) <= 1e-8 * area
@@ -79,7 +79,7 @@ def test_default_target_area_is_the_initial_area(grid24, euclidean):
     mesh = sf.round_sphere_with_harmonics(grid24, 1.3, [(2, 0, 0.05)])
     area = sf.induced_geometry(euclidean, mesh).area
     state = flow.run_flow(euclidean, flow.FlowConfig(max_steps=3), mesh)
-    assert state.coarse_steps > 0
+    assert state.history[0].step > 0
     assert all(abs(rec.area - area) <= 1e-8 * area for rec in state.history)
 
 
@@ -164,8 +164,7 @@ def test_mixed_seed_flow_converges(seed, shape):
     state = flow.run_flow(space, config, mesh)
     assert_converged_flow(space, config, state)
     # the coarse stage ran; the history holds the requested grid's records
-    assert state.coarse_steps > 0
-    assert state.history[0].step == state.coarse_steps
+    assert state.history[0].step > 0
 
 
 def test_accepted_step_is_band_limited(grid32, euclidean):
@@ -215,7 +214,7 @@ def test_flows_on_one_grid_share_its_coarse_grid(euclidean, monkeypatch):
         grid = SphereGrid(*shape)
         mesh = sf.round_sphere_with_harmonics(grid, 1.0, [(2, 0, 0.05)])
         for _ in range(2):
-            assert flow.run_flow(euclidean, willmore_config(), mesh).coarse_steps > 0
+            assert flow.run_flow(euclidean, willmore_config(), mesh).history[0].step > 0
         assert built == chain
         assert grid.coarse_grid is grid.coarse_grid
 
@@ -226,7 +225,7 @@ def test_mesh_above_the_coarse_band_is_solved_directly(grid32, euclidean):
     assert flow._restricted(mesh) is None
     state = flow.run_flow(euclidean, willmore_config(max_steps=2), mesh)
     assert state.step_index == 2
-    assert state.coarse_steps == 0
+    assert state.history[0].step == 0
     assert [rec.step for rec in state.history] == [0, 1, 2]
     # the same mesh with its Y_20,0 content at roundoff takes the coarse stage
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(20, 0, 1e-14), (2, 0, 0.05)])
@@ -237,7 +236,7 @@ def test_max_steps_bounds_both_stages(grid32, euclidean):
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
     state = flow.run_flow(euclidean, willmore_config(max_steps=3), mesh)
     assert state.status == "max_steps"
-    assert state.step_index == state.coarse_steps == 3
+    assert state.step_index == state.history[0].step == 3
     # the requested grid records its initial surface and takes no step
     assert [rec.step for rec in state.history] == [3]
     assert state.l2_residual == state.history[-1].residual > 1e-5
@@ -267,7 +266,7 @@ def test_coarse_stage_failure_falls_back_to_the_direct_solve(grid32, euclidean, 
     state = flow.run_flow(euclidean, willmore_config(), mesh)
     assert len(coarse) == 1
     assert state.status == "converged"
-    assert state.coarse_steps == 0
+    assert state.history[0].step == 0
     assert [rec.step for rec in state.history] == list(range(state.step_index + 1))
 
 
@@ -275,7 +274,7 @@ def test_max_steps_bounds_all_three_levels(grid48, euclidean):
     mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
     state = flow.run_flow(euclidean, willmore_config(max_steps=3), mesh)
     assert state.status == "max_steps"
-    assert state.step_index == state.coarse_steps == 3
+    assert state.step_index == state.history[0].step == 3
     assert [rec.step for rec in state.history] == [3]
 
 
@@ -295,8 +294,8 @@ def test_failure_on_the_coarsest_level_falls_back_to_the_level_above(grid48, euc
     monkeypatch.setattr(flow, "_descend", failing_on_12_rows)
     mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
     state = flow.run_flow(euclidean, willmore_config(), mesh)
-    assert calls == [(12, 0), (24, 0), (48, state.coarse_steps)]
-    assert state.coarse_steps > 0
+    assert calls == [(12, 0), (24, 0), (48, state.history[0].step)]
+    assert state.history[0].step > 0
     assert_converged_flow(euclidean, willmore_config(), state)
 
 
@@ -319,7 +318,7 @@ def test_fallback_counts_on_from_the_failed_level(grid48, euclidean, monkeypatch
     (_, first), (_, after_12), (_, after_24) = calls
     assert first == 0 and after_12 > 0 and after_24 >= after_12
     assert calls[1:] == [(24, after_12), (48, after_24)]
-    assert state.coarse_steps == after_24
+    assert state.history[0].step == after_24
     assert_converged_flow(euclidean, willmore_config(), state)
 
 
@@ -353,8 +352,7 @@ def test_requested_grid_stalled_after_a_stalled_level_descends_directly(grid48, 
     state = flow.run_flow(euclidean, willmore_config(), mesh)
     assert [n for n, _ in calls] == [12, 24, 48, 48]
     assert calls[3][1] == states[2].step_index > 0
-    assert state is states[3] and state.coarse_steps == calls[3][1]
-    assert state.history[0].step == state.coarse_steps
+    assert state is states[3] and state.history[0].step == calls[3][1]
     assert_converged_flow(euclidean, willmore_config(), state)
 
 
@@ -398,7 +396,7 @@ def test_mesh_with_content_its_analysis_cannot_see_is_solved_directly(grid48, eu
     mesh = sf.SurfaceMesh(grid48, radius, mesh.center)
     assert flow._restricted(mesh) is None
     state = flow.run_flow(euclidean, willmore_config(max_steps=2), mesh)
-    assert state.coarse_steps == 0
+    assert state.history[0].step == 0
     assert [rec.step for rec in state.history] == [0, 1, 2]
 
 
@@ -421,12 +419,110 @@ def test_failure_on_the_requested_grid_is_not_retried(grid32, euclidean, monkeyp
     assert grids == [grid32.coarse_grid, grid32]
 
 
+def raising_trials(grid, monkeypatch):
+    """Make the area stage of every trial mesh on grid raise a GeometryError.
+
+    Returns the list of the trial meshes refused.
+    """
+    refused = []
+
+    class Trial(sf.SurfaceMesh):
+        pass
+
+    area_stage = sf._area_stage
+
+    def raising(space, mesh):
+        if isinstance(mesh, Trial) and mesh.grid is grid:
+            refused.append(mesh)
+            raise GeometryError("degenerate trial")
+        return area_stage(space, mesh)
+
+    monkeypatch.setattr(flow, "SurfaceMesh", Trial)
+    monkeypatch.setattr(sf, "_area_stage", raising)
+    return refused
+
+
+@pytest.mark.parametrize("shape, amplitude, tol", [((16, 32), 0.05, 1e-5),
+                                                    ((32, 64), 0.02, 1e-14)],
+                         ids=["16x32", "32x64-stalled-chain"])
+def test_step_whose_every_trial_raises_raises_with_its_state(shape, amplitude, tol, euclidean,
+                                                             monkeypatch):
+    # every trial of a step on the requested grid raises: the flow raises a FlowError
+    # with that step's state.  16x32 has no coarse level.  On 32x64, below F's
+    # roundoff floor, 16x32 stagnates, the continued descent's trials raise and then
+    # stall, and the direct descent that follows, numbered on from 16x32's steps, raises
+    config = willmore_config(residual_tol=tol)
+    grid = SphereGrid(*shape)
+    mesh = sf.round_sphere_with_harmonics(grid, 1.0, [(2, 0, amplitude)])
+    coarse = flow._restricted(mesh)
+    start = 0 if coarse is None else flow._solve(
+        euclidean, config, sf._area_stage(euclidean, coarse), config.target_area, False).step_index
+    refused = raising_trials(grid, monkeypatch)
+    with pytest.raises(FlowError, match="degenerated") as err:
+        flow.run_flow(euclidean, config, mesh)
+    assert len(refused) >= flow.MAX_BACKTRACKS + 1
+    state = err.value.state
+    assert state.status == "failed"
+    assert state.step_index == start and [rec.step for rec in state.history] == [start]
+    assert (start > 0) == (coarse is not None)
+
+
+def test_step_whose_trials_raise_and_then_stall_stagnates(euclidean, monkeypatch):
+    # near the fixed point the backtracked trial step falls below float resolution
+    # before the backtracks run out: the step stalls, and the flow stagnates
+    grid = SphereGrid(16, 32)
+    refused = raising_trials(grid, monkeypatch)
+    mesh = sf.round_sphere_with_harmonics(grid, 1.0, [(2, 0, 1e-9)])
+    state = flow.run_flow(euclidean, willmore_config(residual_tol=1e-14), mesh)
+    assert 0 < len(refused) < flow.MAX_BACKTRACKS + 1
+    assert state.status == "stagnated"
+    assert state.step_index == 0 and [rec.step for rec in state.history] == [0]
+
+
+@pytest.mark.parametrize("failing", ["coarse-area-stage", "prolongation"])
+def test_coarse_level_raising_a_non_flow_error_descends_directly(failing, grid32, euclidean,
+                                                                 monkeypatch):
+    # a GeometryError from the coarse level's area stage, or from the prolongation
+    # of its solution, makes the requested grid descend directly from its own
+    # mesh, counting on from the coarse steps taken before the error
+    config = willmore_config()
+    mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
+    coarse = sf._area_stage(euclidean, flow._restricted(mesh))
+    start = 0 if failing == "coarse-area-stage" else flow._descend(
+        euclidean, config, coarse, config.target_area).step_index
+    direct = flow._descend(euclidean, config, sf._area_stage(euclidean, mesh),
+                           config.target_area, start)
+    if failing == "coarse-area-stage":
+        area_stage = sf._area_stage
+
+        def raising(space, mesh):
+            if mesh.grid is grid32.coarse_grid:
+                raise GeometryError("degenerate coarse level")
+            return area_stage(space, mesh)
+
+        monkeypatch.setattr(sf, "_area_stage", raising)
+    else:
+        resampled = sf.SurfaceMesh.resampled
+
+        def raising(mesh, grid):
+            if grid is grid32:
+                raise GeometryError("degenerate prolongation")
+            return resampled(mesh, grid)
+
+        monkeypatch.setattr(sf.SurfaceMesh, "resampled", raising)
+    state = flow.run_flow(euclidean, config, mesh)
+    assert start > 0 or failing == "coarse-area-stage"
+    assert state.status == direct.status == "converged"
+    assert state.history == direct.history and state.history[0].step == start
+    assert state.mesh.radius.tobytes() == direct.mesh.radius.tobytes()
+
+
 @pytest.mark.parametrize("seed", sorted(FLOW_SOLVE_SEEDS))
 def test_coarse_stage_reaches_the_direct_solution(seed):
     space, config, mesh = seed_problem(seed, (48, 96))
     state = flow.run_flow(space, config, mesh)
     direct = flow._descend(space, config, sf._area_stage(space, mesh), config.target_area)
-    assert state.coarse_steps > 0
+    assert state.history[0].step > 0
     assert state.status == direct.status == "converged"
     assert abs(state.functional - direct.functional) <= 1e-10
 
@@ -610,7 +706,7 @@ def test_flow_builds_only_what_it_reads(grid32, euclidean, monkeypatch):
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
     state = flow.run_flow(space, willmore_config(), mesh)
     assert state.status == "converged"
-    assert state.coarse_steps > 0
+    assert state.history[0].step > 0
     # one initial rescale per stage, the coarse and the requested grid's
     assert calls["_rescale_to_area"] == calls["trial"] + 2
     assert calls["dmetric_fn"] == calls["_rescale_to_area"]

@@ -209,7 +209,8 @@ def test_finished_surface_keeps_no_rank3_array(grid, name, params, r0, mode):
     assert [a.shape for a in kept if a.size >= 27 * nodes] == []
     if space.time_symmetric:
         fields = geom.ambient
-        for arr in (geom.k_amb, fields.nabla_k, fields.J, fields.jnorm, fields.ksq):
+        for arr in (geom.k_amb, geom.trk, geom.P, geom.dnu_k_trace, space.k_tensor(geom.X),
+                    fields.nabla_k, fields.J, fields.jnorm, fields.ksq):
             assert not arr.flags.writeable and not any(arr.strides)
 
 

@@ -7,8 +7,9 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed (pair i uses seed first_seed + i); the side that runs first
 alternates from pair to pair.  For every end-to-end metric of BENCHMARK.json
 the file records, per side, the median and quartiles over the pairs and the
-number of pairs that side won, with the seeds, each checkout's git SHA and a
-hash of its src/qll.  An existing --out file keeps its other workloads.
+number of pairs that side won, and a verdict, with the seeds, each checkout's
+git SHA and a hash of its src/qll; the verdicts are also printed.  An existing
+--out file keeps its other workloads.
 """
 
 import argparse
@@ -31,12 +32,32 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def verdict(parent, change, sign, bound):
+    """gain, worse, unresolved or flat, for one metric's two summaries (see summarize)."""
+    gap = sign * (parent["median"] - change["median"])    # > 0 when the change is better
+    spread = parent["q3"] - parent["q1"]
+    if change["pairs_won"] >= 0.9 * len(change["runs"]) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    if spread > bound * abs(parent["median"]) and \
+            not max(sign * v for v in change["runs"]) < min(sign * v for v in parent["runs"]):
+        return "unresolved"
+    return "flat"
+
+
 def summarize(pairs, end_to_end):
-    """Per end-to-end metric: each side's median and quartiles and its pair wins.
+    """Per end-to-end metric: each side's median and quartiles and its pair wins,
+    and a verdict.
 
     pairs is a list of {"seed": s, "parent": {metric: value}, "change": {...}};
-    end_to_end is BENCHMARK.json's list of {"name", "better", ...}.  A pair
-    is won by the side with the better value; a tie counts for neither.
+    end_to_end is BENCHMARK.json's list of {"name", "better", "bound", ...}.  A
+    pair is won by the side with the better value; a tie counts for neither.
+    The verdict is "gain" when the change won at least 9 in 10 of the pairs and
+    its median is better by more than the parent's q3 - q1; "worse" when its
+    median is worse than the parent's by more than bound (relative to the
+    parent's median); "unresolved" when the parent's q3 - q1 is wider than bound
+    and not every change run beats every parent run; else "flat".
     """
     out = {}
     for spec in end_to_end:
@@ -52,6 +73,7 @@ def summarize(pairs, end_to_end):
             q1, med, q3 = quartiles(values)
             entry[side] = {"median": med, "q1": q1, "q3": q3, "pairs_won": wins[side],
                            "runs": values}
+        entry["verdict"] = verdict(entry["parent"], entry["change"], sign, spec["bound"])
         out[name] = entry
     return out
 
@@ -126,6 +148,11 @@ def main(argv=None):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     ids = {side: checkout_id(dirs[side]) for side in SIDES}
+    metrics = summarize(pairs, end_to_end)
+    for name, entry in metrics.items():
+        print(f"{name}: {entry['verdict']} (median {entry['parent']['median']:g} -> "
+              f"{entry['change']['median']:g}, change won {entry['change']['pairs_won']}/"
+              f"{len(pairs)})")
     doc["workloads"][args.workload] = {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} "
                    "--trace 0",
@@ -133,7 +160,7 @@ def main(argv=None):
         "first": [pair["first"] for pair in pairs],
         "git_sha": {side: ids[side][0] for side in SIDES},
         "src_sha256": {side: ids[side][1] for side in SIDES},
-        "metrics": summarize(pairs, end_to_end),
+        "metrics": metrics,
         "checked": {side: {name: [pair[side].get(name) for pair in pairs]
                            for name in CHECKED + ("failed", "attempted")} for side in SIDES},
     }

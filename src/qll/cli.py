@@ -242,6 +242,10 @@ class RunConfig:
                "an object with exactly one of 'sphere_r', 'mesh_file', 'round_r'")
         self.source = sources[0]
         self.source_value = surf[self.source]
+        # a setting that the source does not read is an error that names it
+        for k, readers in (("perturbations", ("round_r",)), ("center", ("sphere_r", "round_r"))):
+            _check(surf, f"surface.{k}", k not in surf or self.source in readers,
+                   f"left out with '{self.source}'")
         self.center = surf.get("center", [0.0, 0.0, 0.0])
         self.perturbations = surf.get("perturbations", [])
         for i, (l, m, _) in enumerate(self.perturbations):

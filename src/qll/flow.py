@@ -48,6 +48,13 @@ failed level's steps count when its FlowError carries them), so the chain
 adds no failure mode, and when F's roundoff stalls the chain: the requested
 grid stagnates after a level below that stagnated too.  The requested
 grid's descent raises as a direct one does.
+
+A flow holds one surface at a time.  A level hands the next one area stage,
+consumed once: the rescale that completes it empties the one-element list it
+is handed in, and a level that starts a chain keeps only its mesh, from which
+the fallback builds the stage again.  The line search holds the current mesh,
+functional, area and residual, not the geometry they came from, and a
+rejected trial is freed before the next one is built.
 """
 
 from dataclasses import dataclass, field
@@ -111,10 +118,12 @@ class FlowState:
 
 
 def _rescale_to_area(space, stage, target):
-    """Completed geometry of the area stage's mesh scaled to the target area.
+    """Completed geometry of the area stage in the one-element list stage, which is
+    emptied, scaled to the target area.
 
     The scaling iterates compute only their area stage; the last one alone is completed.
     """
+    stage = stage.pop()
     for _ in range(12):
         c = np.sqrt(target / stage.area)
         if abs(c - 1.0) < 1e-12:
@@ -142,34 +151,36 @@ def _restricted(mesh):
 
 
 def run_flow(space, config, initial_mesh):
-    stage = sf._area_stage(space, initial_mesh)
-    target = stage.area if config.target_area is None else config.target_area
-    if abs(stage.area - target) > 0.5 * target:
+    stage = [sf._area_stage(space, initial_mesh)]
+    area = stage[0].area
+    target = area if config.target_area is None else config.target_area
+    if abs(area - target) > 0.5 * target:
         raise ValueError("initial area differs from target_area by more than 50%")
-    return _solve(space, config, stage, target)
+    return _solve(space, config, stage.pop(), target)
 
 
 def _solve(space, config, stage, target, requested=True):
     """The flow of the area stage's mesh on its grid, continued from the coarser levels."""
-    step = 0
-    coarse = _restricted(stage.mesh)
+    mesh, stage, step = stage.mesh, [stage], 0
+    coarse = _restricted(mesh)
     if coarse is not None:
+        stage.clear()                 # the chain keeps the mesh; a fallback builds the stage
         try:
-            coarse = sf._area_stage(space, coarse)
-            below = _solve(space, config, coarse, target, False)
+            below = _solve(space, config, sf._area_stage(space, coarse), target, False)
             step = below.step_index
-            prolonged = sf._area_stage(space, below.mesh.resampled(stage.mesh.grid)[0])
+            prolonged = [sf._area_stage(space, below.mesh.resampled(mesh.grid)[0])]
         except FlowError as exc:      # the direct descent below counts on from the failure
             if exc.state is not None:
                 step = exc.state.step_index
         except QLLError:
             pass
         else:
-            state = _descend(space, config, prolonged, target, step)
+            state = _descend(space, config, prolonged.pop(), target, step)
             if not (requested and state.status == below.status == "stagnated"):
                 return state
             step = state.step_index   # F's roundoff stalled the chain: descend directly
-    return _descend(space, config, stage, target, step)
+    return _descend(space, config, stage.pop() if stage else sf._area_stage(space, mesh),
+                    target, step)
 
 
 def _descend(space, config, stage, target, step=0):
@@ -179,14 +190,15 @@ def _descend(space, config, stage, target, step=0):
     level together.  A step is accepted, rejected, stalled or degenerate (every
     trial raised); a degenerate step raises, a rejected or stalled one stagnates.
     """
-    grid = stage.mesh.grid
+    mesh, area, stage = stage.mesh, stage.area, [stage]
+    grid = mesh.grid
     history = []
     try:
         geom = _rescale_to_area(space, stage, target)
     except (ChartDomainError, GeometryError, NumericError) as exc:
-        state = FlowState(stage.mesh, "failed", step,
-                          hawking_functional(sf.induced_geometry(space, stage)),
-                          stage.area, float("nan"), history)
+        state = FlowState(mesh, "failed", step,
+                          hawking_functional(sf.induced_geometry(space, mesh)),
+                          area, float("nan"), history)
         raise FlowError(f"initial mesh cannot reach the target area: {exc}",
                         state=state) from exc
 
@@ -201,10 +213,11 @@ def _descend(space, config, stage, target, step=0):
     functional = hawking_functional(geom)
     status = "max_steps"
     while True:
+        mesh, area = geom.mesh, geom.area
         rep = residual_report(space, geom, config.mode)
-        history.append(FlowRecord(step, functional, geom.area, rep.l2_residual,
-                                  dt / rbar4))
-        if rep.l2_residual <= config.residual_tol:
+        residual = rep.l2_residual
+        history.append(FlowRecord(step, functional, area, residual, dt / rbar4))
+        if residual <= config.residual_tol:
             status = "converged"
             break
         if step >= config.max_steps:
@@ -215,39 +228,39 @@ def _descend(space, config, stage, target, step=0):
         # enforces the area constraint int(H alpha) dmu = 0
         speed = speed + _lambda_star(geom, speed) * geom.H
         rate = transform.filtered(radial_rate(geom, speed), ones)
+        geom = rep = speed = None       # freed before the trials are built
 
         outcome = "degenerate"          # until a trial builds
-        radius_scale = float(np.max(np.abs(geom.mesh.radius)))
+        radius_scale = float(np.max(np.abs(mesh.radius)))
         trial_dt = dt
         for _ in range(MAX_BACKTRACKS + 1):
             if trial_dt * float(np.max(np.abs(rate))) <= 1e-15 * radius_scale:
                 # step no longer changes the mesh at float resolution
                 outcome = "stalled"
                 break
-            new_radius = geom.mesh.radius + trial_dt * rate
+            new_radius = mesh.radius + trial_dt * rate
             try:
-                trial = sf._area_stage(space, SurfaceMesh(grid, new_radius, geom.mesh.center))
-                trial_geom = _rescale_to_area(space, trial, target)
-                trial_functional = hawking_functional(trial_geom)
+                trial = _rescale_to_area(space, [sf._area_stage(
+                    space, SurfaceMesh(grid, new_radius, mesh.center))], target)
+                trial_functional = hawking_functional(trial)
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= BACKTRACK_FACTOR
                 continue
             if trial_functional <= functional:
-                geom, functional = trial_geom, trial_functional
+                geom, functional = trial, trial_functional
                 dt = min(trial_dt * STEP_GROWTH, dt_max)
                 outcome = "accepted"
                 break
             outcome = "rejected"
+            trial = None                # freed before the next trial is built
             trial_dt *= BACKTRACK_FACTOR
         if outcome == "degenerate":
-            state = FlowState(geom.mesh, "failed", step, functional, geom.area,
-                              rep.l2_residual, history)
+            state = FlowState(mesh, "failed", step, functional, area, residual, history)
             raise FlowError("mesh degenerated during flow", state=state)
         if outcome != "accepted":
             status = "stagnated"
             break
         step += 1
 
-    return FlowState(mesh=geom.mesh, status=status, step_index=step,
-                     functional=functional, area=geom.area,
-                     l2_residual=history[-1].residual, history=history)
+    return FlowState(mesh=mesh, status=status, step_index=step, functional=functional,
+                     area=area, l2_residual=residual, history=history)

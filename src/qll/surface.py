@@ -189,7 +189,7 @@ def induced_geometry(space, mesh):
 
 
 # the first stage of a build: the frame, both metrics and the area
-_AreaStage = namedtuple("_AreaStage", "mesh X r_t r_p e_t e_p E g ginv g_tt g_tp g_pp det2 J area")
+_AreaStage = namedtuple("_AreaStage", "mesh X r_t r_p e_t e_p g ginv g_tt g_tp g_pp det2 J area")
 
 
 def _area_stage(space, mesh):
@@ -203,9 +203,9 @@ def _area_stage(space, mesh):
     e_p = r_p[..., None] * grid.nhat + r[..., None] * grid.dph_nhat
     g, ginv = space._metric_and_inverse(X)
 
-    # lowered tangent vectors (g e_theta, g e_phi) as the columns of gE
-    E = np.stack([e_t, e_p], axis=-1)
-    gE = g @ E
+    # lowered tangent vectors (g e_theta, g e_phi) as the columns of gE; the frame
+    # is stacked at each of its two reads, so no stacked copy outlives either
+    gE = g @ np.stack([e_t, e_p], axis=-1)
     g_tt = _dot(e_t, gE[..., 0])
     g_tp = _dot(e_p, gE[..., 0])
     g_pp = _dot(e_p, gE[..., 1])
@@ -214,13 +214,13 @@ def _area_stage(space, mesh):
         bad = np.argwhere(~(det2 > 0.0))[0]
         raise GeometryError(f"degenerate induced metric at node (theta={bad[0]}, phi={bad[1]})")
     J = np.sqrt(det2)
-    return _AreaStage(mesh, X, r_t, r_p, e_t, e_p, E, g, ginv, g_tt, g_tp, g_pp, det2, J,
+    return _AreaStage(mesh, X, r_t, r_p, e_t, e_p, g, ginv, g_tt, g_tp, g_pp, det2, J,
                       grid.integrate(np.ones_like(J), J))
 
 
 def _completed(space, stage):
     """The SurfaceGeometry of an area stage: second fundamental form, k-data and checks."""
-    mesh, X, r_t, r_p, e_t, e_p, E, g, ginv, g_tt, g_tp, g_pp, det2, J, area = stage
+    mesh, X, r_t, r_p, e_t, e_p, g, ginv, g_tt, g_tp, g_pp, det2, J, area = stage
     grid = mesh.grid
     r = mesh.radius
     # g^{-1} is the area stage's, already checked; g is not evaluated again
@@ -251,7 +251,7 @@ def _completed(space, stage):
     dg = [dg] if _reads_dg(space) else []
     W = ((0.5 * nu)[..., None, :] @ T).reshape(batch + (3, 3))
     del T
-    WE = W @ E
+    WE = W @ np.stack([e_t, e_p], axis=-1)
     del W
     r_tt = grid.d2theta(r)
     r_tp = grid.dphi(r_t)

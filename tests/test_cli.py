@@ -391,6 +391,11 @@ def sweep_with(catalog_space, **top):
     lambda: (*broken("eval", surface={"sphere_r": 1.0, "centre": [0.1, 0.0, 0.0]}),
              "surface.centre"),
     lambda: (*broken("eval", hypothesis={"betta": 0.3}), "hypothesis.betta"),
+    # a surface setting that its source does not read (both used to be dropped)
+    lambda: (*broken("eval", surface={"sphere_r": 1.0, "perturbations": [[2, 0, 0.3]]}),
+             "'surface.perturbations'", "'sphere_r'"),
+    lambda: (*broken("eval", surface={"mesh_file": "x", "center": [0.1, 0.0, 0.0]}),
+             "'surface.center'", "'mesh_file'"),
     # r ** (n - 2) overflows at n = 1000: a NumericError naming the model, n and r
     lambda: (*broken_sweep(n=1000, params={"m": 1.0}, r_values=[3.0]),
              "'schwarzschild'", "n = 1000", "r = 3.0"),

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def test_accepted_step_is_band_limited(grid32, euclidean):
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 2, 0.03), (3, -1, 0.02)])
     target = 4.0 * np.pi
     stage = sf._area_stage(euclidean, mesh)
-    start = flow._rescale_to_area(euclidean, stage, target)
+    start = flow._rescale_to_area(euclidean, [stage], target)
     state = flow._descend(euclidean, willmore_config(max_steps=1), stage, target)
     assert state.step_index == 1
     transform = grid32.harmonic_transform
@@ -374,17 +375,58 @@ def test_stalled_levels_are_not_descended_again_without_cause(grid48, grid32, eu
     assert [n for n, _ in calls] == [16, 32]
 
 
-def test_rotated_seed_stalled_on_two_coarse_levels_converges():
-    # seed 1607's tenth flow_solve cycle: the hyperboloid mixed seed rotated by
-    # 3.8901948811856926 rad at 48x96; 12x24 stagnates at 1.41e-5, 24x48
-    # continued from it at 1.23e-5, and 48x96 after them at 1.15e-5; 48x96
-    # converges when it then descends directly from its own mesh
+def seed_1607_problem(shape, **config):
+    """(space, config, mesh) of seed 1607's tenth flow_solve cycle on a grid of this shape:
+    the hyperboloid mixed seed rotated by 3.8901948811856926 rad."""
     perts = [(2, 1, -0.014652818592739519), (2, -1, -0.0136123071993056),
              (3, 2, 0.000735254635586647), (3, -2, 0.009972933401003355)]
-    space = catalog("hyperboloid", a=1.0)
-    config = flow.FlowConfig(mode="hawking", target_area=4.0 * np.pi, residual_tol=1e-5)
-    mesh = sf.round_sphere_with_harmonics(SphereGrid(48, 96), 1.0, perts)
+    config = flow.FlowConfig(mode="hawking", target_area=4.0 * np.pi, residual_tol=1e-5,
+                             **config)
+    mesh = sf.round_sphere_with_harmonics(SphereGrid(*shape), 1.0, perts)
+    return catalog("hyperboloid", a=1.0), config, mesh
+
+
+def test_rotated_seed_stalled_on_two_coarse_levels_converges():
+    # seed 1607 at 48x96: 12x24 stagnates at 1.41e-5, 24x48 continued from it at
+    # 1.23e-5, and 48x96 after them at 1.15e-5; 48x96 converges when it then
+    # descends directly from its own mesh
+    space, config, mesh = seed_1607_problem((48, 96))
     assert_converged_flow(space, config, flow.run_flow(space, config, mesh))
+
+
+def traced_peak(fn):
+    """The peak of the memory that tracemalloc traces while fn runs, above its start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape, nyquist, max_steps", [((48, 96), False, 5000),
+                                                       ((32, 64), True, 3)],
+                         ids=["48x96-stalled-chain", "32x64-direct"])
+def test_flow_holds_one_surface_at_a_time(shape, nyquist, max_steps):
+    # a flow's traced peak stays near that of one build plus residual of its
+    # mesh: no area stage or geometry is kept past its last reader, across the
+    # levels of a chain and the trials of a line search.  Seed 1607 at 48x96
+    # stalls its chain and then descends directly, and phi-Nyquist content keeps
+    # 32x64 off the chain, so its steps run on the requested grid.  The ratio
+    # reads 1.29 on both, and read 2.71 and 2.39 when every stage and the
+    # current geometry were held through the trials
+    space, config, mesh = seed_1607_problem(shape, max_steps=max_steps)
+    if nyquist:
+        grid = mesh.grid
+        mesh = sf.SurfaceMesh(grid, mesh.radius + 1e-6 * np.cos(shape[0] * grid.phi)[None, :],
+                              mesh.center)
+    state = flow.run_flow(space, config, mesh)    # builds every grid's cached transforms
+    assert state.status == ("max_steps" if nyquist else "converged")
+    one = traced_peak(lambda: residual_report(space, sf.induced_geometry(space, mesh),
+                                              config.mode))
+    assert traced_peak(lambda: flow.run_flow(space, config, mesh)) <= 1.5 * one
 
 
 def test_mesh_with_content_its_analysis_cannot_see_is_solved_directly(grid48, euclidean):
@@ -674,7 +716,7 @@ def test_trial_with_a_nonpositive_radius_backtracks(euclidean, monkeypatch):
 
 def test_area_rescale_exact_in_curved_space(grid32, hyperboloid):
     start = sf._area_stage(hyperboloid, sf.coordinate_sphere(grid32, 1.1))
-    geom = flow._rescale_to_area(hyperboloid, start, 4.0 * np.pi)
+    geom = flow._rescale_to_area(hyperboloid, [start], 4.0 * np.pi)
     assert abs(geom.area - 4.0 * np.pi) / (4.0 * np.pi) < 1e-10
     full = sf.induced_geometry(hyperboloid, geom.mesh)
     assert full.area == geom.area

@@ -79,8 +79,8 @@ def test_bench_pairs_summary():
         import bench_pairs
     finally:
         sys.path.remove(os.path.join(ROOT, "scripts"))
-    end_to_end = [{"name": "op_mean_ms", "unit": "ms", "better": "lower"},
-                  {"name": "rate", "unit": "1/s", "better": "higher"}]
+    end_to_end = [{"name": "op_mean_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
     runs = [((10.0, 5.0), (8.0, 6.0)), ((12.0, 4.0), (9.0, 4.0)), ((11.0, 6.0), (11.0, 5.0)),
             ((9.0, 5.0), (10.0, 7.0)), ((14.0, 3.0), (7.0, 8.0))]
     pairs = [{"seed": 100 + i,
@@ -98,6 +98,33 @@ def test_bench_pairs_summary():
     assert (rate["parent"]["pairs_won"], rate["change"]["pairs_won"]) == (1, 3)
     assert rate["change"]["median"] == 6.0
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    # 3 wins in 5 is no gain; the parent's spread is 2/11 of its median (op_mean_ms,
+    # within the bound 0.25) and 1/5 of it (rate, beyond the bound 0.1)
+    assert (op["verdict"], rate["verdict"]) == ("flat", "unresolved")
+
+    def verdict(parent, change, better="lower"):
+        pairs = [{"seed": i, "parent": {"m": p}, "change": {"m": c}}
+                 for i, (p, c) in enumerate(zip(parent, change))]
+        spec = {"name": "m", "unit": "MB", "better": better, "bound": 0.1}
+        return bench_pairs.summarize(pairs, [spec])["m"]["verdict"]
+
+    parent = [50.4, 50.5, 50.45, 50.52, 50.41, 50.48, 50.43, 50.5, 50.46, 50.44]
+    lower = [v - 2.0 for v in parent]
+    assert verdict(parent, lower) == "gain"
+    # a tie counts for neither side: 9 wins in 10 still gain, 8 do not
+    assert verdict(parent, lower[:9] + parent[9:]) == "gain"
+    assert verdict(parent, lower[:8] + parent[8:]) == "flat"
+    # the medians must differ by more than the parent's q3 - q1
+    assert verdict(parent, [v - 0.02 for v in parent]) == "flat"
+    assert verdict(parent, lower, better="higher") == "flat"
+    assert verdict(parent, [v * 1.2 for v in parent]) == "worse"
+    assert verdict(parent, [v * 0.8 for v in parent], better="higher") == "worse"
+    # the parent's spread (8 of a median of 14) is wider than the bound
+    wide = [10.0, 18.0] * 5
+    assert verdict(wide, wide[::-1]) == "unresolved"
+    # unless every change run beats every parent run
+    assert verdict(wide, [v - 8.5 for v in wide]) == "gain"
+    assert verdict(wide, [9.5] * 10) == "flat"
 
 
 def test_report_drift_compare():

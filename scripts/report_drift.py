@@ -74,6 +74,11 @@ CONFIGS = [
         "surface": {"round_r": 1.0, "perturbations": [
             [2, 1, -0.014652818592739519], [2, -1, -0.0136123071993056],
             [3, 2, 0.000735254635586647], [3, -2, 0.009972933401003355]]}}),
+    # the requested grid stagnates after a level below that converged, and descends
+    # directly from its own mesh
+    ("flow-hyperbolic-hawking-stalled-after-converged", "flow", {
+        "space": {"name": "hyperbolic", "params": {"Lambda": -3.0}}, "mode": "hawking",
+        "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.04], [3, 1, 0.02]]}}),
     # below F's roundoff floor: both levels stagnate, and the requested grid then
     # descends directly and stagnates
     ("flow-euclidean-roundoff-floor", "flow", {

@@ -1,17 +1,16 @@
 """Chart-based ambient initial-data geometry (M, g, k).
 
 An AmbientSpace evaluates the metric g, the symmetric 2-tensor k, their
-first coordinate derivatives (analytic closed forms for catalog entries,
-central finite differences otherwise), curvature, covariant derivatives of
-k, and the constraint densities mu, J at arbitrary chart points.  Ric is
-the one curvature input: catalog entries supply it in closed form, and for
-any other space it is the contraction R^a_bad of the Riemann tensor that
-_riemann_up forms from central-difference d2g.  In three dimensions Ric
-determines the Riemann tensor, which curvature_at forms from it.
+first coordinate derivatives, curvature, covariant derivatives of k, and
+the constraint densities mu, J at arbitrary chart points.  Every derivative
+is a closed form that the space supplies: dmetric_fn and ricci_fn always,
+and on k != 0 data dk_fn unless umbilic_a gives k = g / a.  Ric is the one
+curvature input; in three dimensions it determines the Riemann tensor,
+which curvature_at forms from it.
 
 All evaluators are vectorized over a leading batch of chart points: inputs
 of shape (..., 3) give tensors of shape (..., 3, 3) etc.  Derivative index
-layout: dg[..., c, a, b] = d_c g_ab and d2g[..., c, d, a, b] = d_c d_d g_ab.
+layout: dg[..., c, a, b] = d_c g_ab.
 """
 
 import numbers
@@ -21,8 +20,6 @@ import numpy as np
 
 from .errors import CatalogError, ChartDomainError, GeometryError
 
-_EPS = np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class AmbientSpace:
@@ -30,15 +27,22 @@ class AmbientSpace:
     params: dict
     metric_fn: object
     k_fn: object = None            # None means k identically 0
-    # derivatives d_c g_ab and d_c k_ab; None means central differences
-    dmetric_fn: object = None
-    dk_fn: object = None
-    ricci_fn: object = None        # R_ab in closed form; None means R^a_bad from differenced d2g
+    dmetric_fn: object = None      # d_c g_ab, required
+    dk_fn: object = None           # d_c k_ab, required on k != 0 data unless umbilic_a is set
+    ricci_fn: object = None        # R_ab, required
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
     # a when k = g / a (umbilic data): the build and the fill divide the g and dg they
     # already hold by a, which gives bitwise the values of k_fn and dk_fn
     umbilic_a: float = None
+
+    def __post_init__(self):
+        needed = ["dmetric_fn", "ricci_fn"]
+        if self.k_fn is not None and self.umbilic_a is None:
+            needed.append("dk_fn")
+        missing = [name for name in needed if getattr(self, name) is None]
+        if missing:
+            raise CatalogError(f"space '{self.name}' lacks the closed form(s) {', '.join(missing)}")
 
     @property
     def time_symmetric(self):
@@ -104,42 +108,6 @@ def _spd_inverse(g, name):
     return (cof / det[..., None])[..., _SYM_TO_FULL].reshape(g.shape)
 
 
-# ---------------------------------------------------------------------------
-# derivatives: the space's own, or central differences
-
-def _fd_steps(points):
-    """First- and second-derivative steps, one pair per point.
-
-    Per point, the optimal central-difference steps (truncation vs roundoff)
-    scale with max(1, |x|), so a point's differences do not depend on the
-    other points of the batch.
-    """
-    scale = np.maximum(1.0, np.linalg.norm(points, axis=-1))[..., None]
-    return scale * _EPS ** (1.0 / 3.0), scale * _EPS ** 0.25
-
-
-def _fd_first(fn, points, h):
-    """d_c fn by central differences with a step h from _fd_steps (or a scalar step)."""
-    h = np.asarray(h)
-    d = np.stack([fn(points + h * e) - fn(points - h * e) for e in np.eye(3)],
-                 axis=points.ndim - 1)
-    # h per point, broadcast over c and fn's tensor indices
-    return d / (2.0 * h).reshape(h.shape[:-1] + (1,) * (d.ndim - points.ndim + 1))
-
-
-def _fd_second(fn, points, h):
-    """d_d d_c fn: the differences of the differences, symmetrized in (d, c)."""
-    d2 = _fd_first(lambda x: _fd_first(fn, x, h), points, h)
-    return 0.5 * (d2 + np.swapaxes(d2, -4, -3))
-
-
-def _derivative(own, fn, points):
-    """own(points) when the space supplies this derivative, else central differences of fn."""
-    if own is not None:
-        return own(points)
-    return _fd_first(fn, points, _fd_steps(points)[0])
-
-
 # T_dbc = d_b g_dc + d_c g_db - d_d g_bc as a constant map from dg[x, y, z] to T[d, b, c]
 _I27 = np.eye(27).reshape((3,) * 6)
 _FIRST_KIND = (np.einsum("xyzbdc->xyzdbc", _I27) + np.einsum("xyzcdb->xyzdbc", _I27)
@@ -147,10 +115,7 @@ _FIRST_KIND = (np.einsum("xyzbdc->xyzdbc", _I27) + np.einsum("xyzcdb->xyzdbc", _
 
 
 def _first_kind(dg):
-    """T_dbc = d_b g_dc + d_c g_db - d_d g_bc, one product with a constant matrix.
-
-    Given d2g it returns d_a T_dbc, because d2g[..., a, :, :, :] = d_a dg.
-    """
+    """T_dbc = d_b g_dc + d_c g_db - d_d g_bc, one product with a constant matrix."""
     return (dg.reshape(dg.shape[:-3] + (27,)) @ _FIRST_KIND).reshape(dg.shape)
 
 
@@ -165,43 +130,8 @@ def christoffels_at(space, points):
     """Gamma^a_bc, g, g^{-1} and dg at chart points, after the chart and SPD checks."""
     points = np.asarray(points, dtype=float)
     g, ginv = space._metric_and_inverse(points)
-    dg = _derivative(space.dmetric_fn, space.metric_fn, points)
+    dg = space.dmetric_fn(points)
     return _christoffels(ginv, dg), g, ginv, dg
-
-
-def _riemann_up(ginv, gamma, dg, d2g):
-    """R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb.
-
-    With d_c Gamma^a_db = (d_c g^{ae} T_edb + g^{ae} d_c T_edb) / 2 and
-    d_c g^{ae} = -(g^{-1} d_c g g^{-1})^{ae}, both halves of
-    M[c, a, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db are batched
-    (3 x 3) @ (3 x 9) products, and R^a_bcd = M[c, a, d, b] - M[d, a, c, b].
-    """
-    batch = ginv.shape[:-2]
-    gi = ginv[..., None, :, :]
-    dginv = -(gi @ dg @ gi)                                  # [c, a, e]
-    T = _first_kind(dg).reshape(batch + (1, 3, 9))
-    dT = _first_kind(d2g).reshape(batch + (3, 3, 9))         # d_c T_edb
-    gs = np.swapaxes(gamma, -3, -2)                          # gs[c, a, e] = Gamma^a_ce
-    M = 0.5 * (dginv @ T + gi @ dT) + gs @ gamma.reshape(batch + (1, 3, 9))
-    M = M.reshape(batch + (3, 3, 3, 3))
-    # [c, a, d, b] -> [a, b, c, d]
-    return np.moveaxis(M - np.swapaxes(M, -4, -2), (-4, -3, -2, -1), (-2, -4, -1, -3))
-
-
-def _ricci(space, points, ginv, gamma, dg):
-    """R_ab: the space's closed form, else the contraction R^a_bad of the
-    Riemann tensor from central-difference d2g."""
-    if space.ricci_fn is not None:
-        return space.ricci_fn(points)
-    d2g = _fd_second(space.metric_fn, points, _fd_steps(points)[1])
-    return np.trace(_riemann_up(ginv, gamma, dg, d2g), axis1=-4, axis2=-2)
-
-
-def _reads_dg(space):
-    """Whether the ambient fill reads dg: for Gamma, which nabla k and a Ricci tensor
-    without a closed form need."""
-    return not space.time_symmetric or space.ricci_fn is None
 
 
 def _zeros(shape):
@@ -240,8 +170,8 @@ def curvature_at(space, points):
     g_bd S_ac - g_ad S_bc - g_bc S_ad with S = Ric - (Sc/4) g.
     """
     points = np.asarray(points, dtype=float)
-    gamma, g, ginv, dg = christoffels_at(space, points)
-    ricci = _ricci(space, points, ginv, gamma, dg)
+    gamma, g, ginv, _ = christoffels_at(space, points)
+    ricci = space.ricci_fn(points)
     scalar = _scalar(ginv, ricci)
     P = np.einsum("...ac,...bd->...abcd", g, ricci - 0.25 * scalar[..., None, None] * g)
     Q = P - np.swapaxes(P, -2, -1)
@@ -294,31 +224,29 @@ def constraint_data_at(space, points):
     J = div(k - (tr k) g) at chart points."""
     points = np.asarray(points, dtype=float)
     _, ginv = space._metric_and_inverse(points)
-    dg = [_derivative(space.dmetric_fn, space.metric_fn, points)] if _reads_dg(space) else []
+    dg = [] if space.time_symmetric else [space.dmetric_fn(points)]
     return _fields(space, points, ginv, dg, space.k_tensor(points))
 
 
 def _fields(space, points, ginv, dg, k):
     """AmbientFields from first-order data already evaluated at points.
 
-    dg is [dg] when _reads_dg(space), else [].  The fill empties the list, so
-    that dg is freed once Gamma, Ric and dk exist: a caller's reference to an
-    argument would keep it alive until the return.  Gamma is formed only for
-    nabla k and for a Ricci tensor the space does not supply, which is then
-    contracted from the Riemann tensor.  On time-symmetric data every k-term
-    is an exact +0.0, a read-only zero view, and is not computed.
+    dg is [dg] on k != 0 data, else [].  The fill empties the list, so that
+    dg is freed once Gamma and dk exist: a caller's reference to an argument
+    would keep it alive until the return.  Gamma is formed only for nabla k.
+    On time-symmetric data every k-term is an exact +0.0, a read-only zero
+    view, and is not computed.
     """
     dg = dg.pop() if dg else None
     gamma = None if dg is None else _christoffels(ginv, dg)
-    ricci = _ricci(space, points, ginv, gamma, dg)
+    ricci = space.ricci_fn(points)
     scalar = _scalar(ginv, ricci)
     if space.time_symmetric:
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
         return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=_zeros(scalar.shape + (3, 3, 3)),
                              mu=0.5 * (scalar + 0.0), J=_zeros(scalar.shape + (3,)),
                              jnorm=_zeros(scalar.shape), ksq=_zeros(scalar.shape))
-    dk = (dg / space.umbilic_a if space.umbilic_a is not None
-          else _derivative(space.dk_fn, space.k_fn, points))
+    dk = dg / space.umbilic_a if space.umbilic_a is not None else space.dk_fn(points)
     del dg
     nk = _nabla_k(gamma, k, dk)
     del gamma, dk
@@ -343,7 +271,7 @@ def _fields(space, points, ginv, dg, k):
 # Derivatives use the smooth ratios u1 = psi'/r (resp. w1 = C'/r, w2 = w1'/r)
 # so nothing divides by r where r = 0 is in the chart.  Each family builder
 # returns the AmbientSpace fields metric_fn, dmetric_fn and ricci_fn; Ric of
-# both forms is a delta_ab + b x_a x_b, so no entry needs d2g.
+# both forms is a delta_ab + b x_a x_b.
 
 
 def _outer_xx(points):

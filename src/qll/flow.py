@@ -45,9 +45,9 @@ the requested grid's descent began.  One rule recovers the chain: the level
 descends directly from its own mesh, counting on from the steps taken
 before.  It applies when a coarser level or a prolongation raises (the
 failed level's steps count when its FlowError carries them), so the chain
-adds no failure mode, and when F's roundoff stalls the chain: the requested
-grid stagnates after a level below that stagnated too.  The requested
-grid's descent raises as a direct one does.
+adds no failure mode, and when the requested grid stagnates after the
+chain, whatever the verdict of the level below.  The requested grid's
+descent raises as a direct one does.
 
 A flow holds one surface at a time.  A level hands the next one area stage,
 consumed once: the rescale that completes it empties the one-element list it
@@ -176,9 +176,9 @@ def _solve(space, config, stage, target, requested=True):
             pass
         else:
             state = _descend(space, config, prolonged.pop(), target, step)
-            if not (requested and state.status == below.status == "stagnated"):
+            if not (requested and state.status == "stagnated"):
                 return state
-            step = state.step_index   # F's roundoff stalled the chain: descend directly
+            step = state.step_index   # the chain stalled: descend directly
     return _descend(space, config, stage.pop() if stage else sf._area_stage(space, mesh),
                     target, step)
 

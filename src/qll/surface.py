@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import _bilinear, _derivative, _fields, _first_kind, _reads_dg, _zeros
+from .ambient import _bilinear, _fields, _first_kind, _zeros
 from .errors import GeometryError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid, resample
@@ -224,7 +224,7 @@ def _completed(space, stage):
     grid = mesh.grid
     r = mesh.radius
     # g^{-1} is the area stage's, already checked; g is not evaluated again
-    dg = _derivative(space.dmetric_fn, space.metric_fn, X)
+    dg = space.dmetric_fn(X)
     batch = X.shape[:-1]
 
     g2 = _sym2(g_tt, g_tp, g_pp)
@@ -248,7 +248,7 @@ def _completed(space, stage):
     # frame, formed from dg without Gamma
     T = _first_kind(dg).reshape(batch + (3, 9))
     # dg goes to the ambient fill, which takes it, or is freed here if the fill never reads it
-    dg = [dg] if _reads_dg(space) else []
+    dg = [] if space.time_symmetric else [dg]
     W = ((0.5 * nu)[..., None, :] @ T).reshape(batch + (3, 3))
     del T
     WE = W @ np.stack([e_t, e_p], axis=-1)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from curvature_oracle import differenced, differenced_ricci
 from qll.ambient import catalog
 from qll.grids import SphereGrid
 
@@ -43,10 +44,13 @@ def paraboloid():
 
 
 def fd_space(space):
-    """space without its own derivatives or Ricci tensor, so dg, dk and d2g are
-    central differences and Ric is the contraction of the Riemann tensor
-    formed from them."""
-    return dataclasses.replace(space, dmetric_fn=None, dk_fn=None, ricci_fn=None)
+    """space with the oracle's differences for its closed forms: dg, dk and d2g
+    are central differences of metric_fn and k_fn, and Ric is the contraction
+    of the Riemann tensor formed from them."""
+    dmetric = differenced(space.metric_fn)
+    return dataclasses.replace(
+        space, dmetric_fn=dmetric, dk_fn=None if space.k_fn is None else differenced(space.k_fn),
+        ricci_fn=differenced_ricci(space.metric_fn, dmetric))
 
 
 def random_points(rng, n, rmin=0.5, rmax=3.0):

@@ -1,13 +1,21 @@
-"""Exact second derivatives of the catalog metrics, a test oracle.
+"""A test oracle for the curvature closed forms: exact second derivatives of
+the catalog metrics, central differences and the Riemann formula.
 
-The library reads a catalog space's curvature only through its closed-form
-Ricci tensor.  These d2g[..., c, d, a, b] = d_c d_d g_ab, written from each
-entry's radial functions, feed the one Riemann formula (ambient._riemann_up)
-so that the closed forms can be checked against it.
+The library reads a space's derivatives and curvature only through its
+closed forms dmetric_fn, dk_fn and ricci_fn.  The oracle checks them two
+ways.  exact_metric gives each catalog entry's d2g[..., c, d, a, b] =
+d_c d_d g_ab, written from its radial functions, to feed the one Riemann
+formula (riemann_up).  differenced and differenced_ricci form the same
+quantities from central differences of metric_fn and k_fn alone, so that a
+space built from them (conftest.fd_space) is an independent route to every
+closed form.
 """
 
 import numpy as np
 
+from qll.ambient import _christoffels, _first_kind, _spd_inverse
+
+_EPS = np.finfo(float).eps
 _EYE = np.eye(3)
 # d_c d_d (x_a x_b) = delta_ca delta_db + delta_cb delta_da
 _DDXX = np.einsum("ca,db->cdab", _EYE, _EYE) + np.einsum("cb,da->cdab", _EYE, _EYE)
@@ -98,3 +106,69 @@ def exact_metric(name, **params):
                 + u1[..., None, None, None, None] * lin + psi[..., None, None, None, None] * _DDXX)
 
     return metric, d2metric
+
+
+# ---------------------------------------------------------------------------
+# central differences and the Riemann formula
+
+def fd_steps(points):
+    """First- and second-derivative steps, one pair per point.
+
+    Per point, the optimal central-difference steps (truncation vs roundoff)
+    scale with max(1, |x|), so a point's differences do not depend on the
+    other points of the batch.
+    """
+    scale = np.maximum(1.0, np.linalg.norm(points, axis=-1))[..., None]
+    return scale * _EPS ** (1.0 / 3.0), scale * _EPS ** 0.25
+
+
+def fd_first(fn, points, h):
+    """d_c fn by central differences with a step h from fd_steps (or a scalar step)."""
+    h = np.asarray(h)
+    d = np.stack([fn(points + h * e) - fn(points - h * e) for e in np.eye(3)],
+                 axis=points.ndim - 1)
+    # h per point, broadcast over c and fn's tensor indices
+    return d / (2.0 * h).reshape(h.shape[:-1] + (1,) * (d.ndim - points.ndim + 1))
+
+
+def fd_second(fn, points, h):
+    """d_d d_c fn: the differences of the differences, symmetrized in (d, c)."""
+    d2 = fd_first(lambda x: fd_first(fn, x, h), points, h)
+    return 0.5 * (d2 + np.swapaxes(d2, -4, -3))
+
+
+def differenced(fn):
+    """d_c fn by central differences with the first-derivative steps of fd_steps."""
+    return lambda points: fd_first(fn, points, fd_steps(points)[0])
+
+
+def riemann_up(ginv, gamma, dg, d2g):
+    """R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb.
+
+    With d_c Gamma^a_db = (d_c g^{ae} T_edb + g^{ae} d_c T_edb) / 2 and
+    d_c g^{ae} = -(g^{-1} d_c g g^{-1})^{ae}, both halves of
+    M[c, a, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db are batched
+    (3 x 3) @ (3 x 9) products, and R^a_bcd = M[c, a, d, b] - M[d, a, c, b].
+    _first_kind of d2g is d_c T_edb, because d2g[..., c, :, :, :] = d_c dg.
+    """
+    batch = ginv.shape[:-2]
+    gi = ginv[..., None, :, :]
+    dginv = -(gi @ dg @ gi)                                  # [c, a, e]
+    T = _first_kind(dg).reshape(batch + (1, 3, 9))
+    dT = _first_kind(d2g).reshape(batch + (3, 3, 9))         # d_c T_edb
+    gs = np.swapaxes(gamma, -3, -2)                          # gs[c, a, e] = Gamma^a_ce
+    M = 0.5 * (dginv @ T + gi @ dT) + gs @ gamma.reshape(batch + (1, 3, 9))
+    M = M.reshape(batch + (3, 3, 3, 3))
+    # [c, a, d, b] -> [a, b, c, d]
+    return np.moveaxis(M - np.swapaxes(M, -4, -2), (-4, -3, -2, -1), (-2, -4, -1, -3))
+
+
+def differenced_ricci(metric_fn, dmetric_fn):
+    """R_ab as the contraction R^a_bad of the Riemann tensor of central-difference
+    d2g, with dg and Gamma from dmetric_fn."""
+    def ricci(points):
+        ginv = _spd_inverse(metric_fn(points), "oracle")
+        dg = dmetric_fn(points)
+        d2g = fd_second(metric_fn, points, fd_steps(points)[1])
+        return np.trace(riemann_up(ginv, _christoffels(ginv, dg), dg, d2g), axis1=-4, axis2=-2)
+    return ricci

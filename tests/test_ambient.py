@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvature_oracle as oracle
 import qll.ambient as amb
 from conftest import fd_space, random_points
-from curvature_oracle import exact_metric
-from qll.ambient import (CATALOG, catalog, christoffels_at, constraint_data_at, curvature_at,
-                         nabla_k_at)
+from curvature_oracle import differenced_ricci, exact_metric
+from qll.ambient import (CATALOG, AmbientSpace, catalog, christoffels_at, constraint_data_at,
+                         curvature_at, nabla_k_at)
 from qll.errors import CatalogError, ChartDomainError, GeometryError
 
 
@@ -81,7 +82,7 @@ def test_ricci_is_riemann_contraction(name):
         pts = np.concatenate([pts, np.zeros((1, 3))])
     cv = curvature_at(space, pts)
     assert np.max(np.abs(metric(pts) - cv.metric)) < 1e-14 * np.max(np.abs(cv.metric))
-    riem_up = amb._riemann_up(cv.inv_metric, cv.christoffels, space.dmetric_fn(pts), d2metric(pts))
+    riem_up = oracle.riemann_up(cv.inv_metric, cv.christoffels, space.dmetric_fn(pts), d2metric(pts))
     riemann = np.einsum("...ae,...ebcd->...abcd", cv.metric, riem_up)
     assert np.max(np.abs(riemann - cv.riemann)) < 1e-11
     ric = np.einsum("...ab,...acbd->...cd", cv.inv_metric, riemann)
@@ -238,9 +239,7 @@ def test_catalog_scale_or_Lambda():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_entries_supply_their_derivatives(name):
-    # a missing function would move the space to central differences without
-    # any error; without ricci_fn, Ric would come from central-difference d2g,
-    # 36 metric evaluations per point
+    # the fill reads dmetric_fn, ricci_fn and, on k != 0 data, dk_fn or umbilic_a
     space = catalog(name)
     assert space.dmetric_fn is not None and space.ricci_fn is not None
     assert space.k_fn is None or space.dk_fn is not None
@@ -341,7 +340,7 @@ def test_contracted_bianchi(name, params, point):
 def test_fd_matches_analytic_at_1e4(monkeypatch, name, params, point):
     space = catalog(name, **params)
     fd = fd_space(space)
-    monkeypatch.setattr(amb, "_fd_steps", lambda points: (1e-4, 1e-4))
+    monkeypatch.setattr(oracle, "fd_steps", lambda points: (1e-4, 1e-4))
     p = np.asarray(point)[None]
     cva = curvature_at(space, p)
     cvf = curvature_at(fd, p)
@@ -355,18 +354,30 @@ def test_fd_second_order_convergence(monkeypatch, hyperboloid):
     fd = fd_space(hyperboloid)
     errs = []
     for h in (2e-3, 1e-3):
-        monkeypatch.setattr(amb, "_fd_steps", lambda points, h=h: (h, h))
+        monkeypatch.setattr(oracle, "fd_steps", lambda points, h=h: (h, h))
         errs.append(np.max(np.abs(curvature_at(fd, p).ricci - exact)))
     assert errs[1] < errs[0] / 3.0  # O(h^2): ideally factor 4
 
 
-def test_fd_mode_without_analytic_derivatives():
-    # a space built from a bare metric callable differentiates it by central differences
-    from qll.ambient import AmbientSpace
+def test_space_without_closed_forms_is_rejected():
+    # the library evaluates closed forms only: the error names each one the fill reads
     base = catalog("hyperboloid", a=1.0)
-    bare = AmbientSpace("bare", {}, base.metric_fn, base.k_fn)
+    with pytest.raises(CatalogError, match=r"'bare' lacks the closed form\(s\) dmetric_fn, "
+                                           r"ricci_fn$"):
+        AmbientSpace("bare", {}, base.metric_fn)
+    with pytest.raises(CatalogError, match=r"dmetric_fn, ricci_fn, dk_fn$"):
+        AmbientSpace("bare", {}, base.metric_fn, base.k_fn)
+    with pytest.raises(CatalogError, match=r"closed form\(s\) dk_fn$"):
+        dataclasses.replace(base, umbilic_a=None, dk_fn=None)
+    # umbilic data divides dg by a, so it needs no dk_fn
+    assert dataclasses.replace(base, dk_fn=None).umbilic_a == 1.0
+
+
+def test_fd_mode_without_analytic_derivatives():
+    # the oracle's central differences of the bare metric callable, at their own steps
+    base = catalog("hyperboloid", a=1.0)
     p = np.array([[0.6, 0.3, -0.2]])
-    cv = curvature_at(bare, p)
+    cv = curvature_at(fd_space(base), p)
     ref = curvature_at(base, p)
     assert np.max(np.abs(cv.ricci - ref.ricci)) < 1e-7
 
@@ -375,7 +386,8 @@ def test_missing_second_derivatives_are_differenced():
     # dg is the space's own function and d2g comes from central differences;
     # the tolerance is test_fd_matches_analytic_at_1e4's
     analytic = catalog("schwarzschild")
-    space = dataclasses.replace(analytic, ricci_fn=None)
+    space = dataclasses.replace(
+        analytic, ricci_fn=differenced_ricci(analytic.metric_fn, analytic.dmetric_fn))
     pts = random_points(np.random.default_rng(11), 12, 2.5, 6.0)
     got, ref = constraint_data_at(space, pts), constraint_data_at(analytic, pts)
     for name in ("ricci", "scalar", "mu", "dec_margin"):
@@ -389,8 +401,8 @@ def test_fd_steps_are_per_point():
     # same batch changes none of its differenced derivatives
     p = np.array([[2.5, 0.3, 0.1]])
     batch = np.concatenate([p, [[40.0, 0.0, 0.0]]])
-    orders = {1: lambda fn, x: amb._derivative(None, fn, x),
-              2: lambda fn, x: amb._fd_second(fn, x, amb._fd_steps(x)[1])}
+    orders = {1: lambda fn, x: oracle.differenced(fn)(x),
+              2: lambda fn, x: oracle.fd_second(fn, x, oracle.fd_steps(x)[1])}
     for name, fn, point, far in (("schwarzschild", "metric_fn", p, batch[1]),
                                  ("paraboloid", "k_fn", 0.2 * p, [1.9, 0.0, 0.0])):
         fn = getattr(catalog(name), fn)
@@ -416,8 +428,6 @@ def test_metric_spd_property(x, y, z):
 
 
 def test_non_spd_metric_rejected():
-    from qll.ambient import AmbientSpace
-
     pts = np.array([[1.0, 0.0, 0.0]])
     for diag in ((1.0, 1.0, -1.0), (1.0, 1.0, 0.0)):   # indefinite, singular
 
@@ -426,7 +436,8 @@ def test_non_spd_metric_rejected():
             out[...] = np.diag(diag)
             return out
 
-        space = AmbientSpace("bad", {}, bad_metric)
+        space = fd_space(dataclasses.replace(catalog("euclidean"), name="bad",
+                                             metric_fn=bad_metric))
         # the check must come before g^{-1} divides by det g = 0
         with np.errstate(all="raise"):
             with pytest.raises(GeometryError, match="not positive definite"):

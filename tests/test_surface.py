@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_space
+from curvature_oracle import differenced_ricci
 from qll import surface as sf
 from qll.ambient import catalog, constraint_data_at, curvature_at, nabla_k_at
 from qll.criticality import residual_report
@@ -175,15 +176,24 @@ def assert_close(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
-@pytest.mark.parametrize("name,params,r,fd", [
-    ("hyperboloid", {"a": 1.0}, 1.0, False),
-    ("paraboloid", {"alpha": 0.5}, 1.0, False),
-    ("schwarzschild", {"m": 1.0}, 4.0, False),
-    ("hyperboloid", {"a": 1.0}, 1.0, True),
-])
-def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
+# name -> (params, mean radius) of a perturbed sphere inside the chart
+CATALOG_SURFACES = {
+    "euclidean": ({}, 1.0),
+    "schwarzschild": ({"m": 1.0}, 4.0),
+    "reissner_nordstrom": ({"m": 1.0, "q": 0.5}, 4.0),
+    "hyperboloid": ({"a": 1.0}, 1.0),
+    "paraboloid": ({"alpha": 0.5}, 1.0),
+    "hyperbolic": ({"a": 1.0}, 1.0),
+    "hemisphere": ({"radius": 1.0}, 1.0),
+}
+
+
+@pytest.mark.parametrize("name,mode", [(name, "analytic") for name in sorted(CATALOG_SURFACES)]
+                         + [("hyperboloid", "fd")])
+def test_cached_fields_match_pointwise_evaluators(grid24, name, mode):
+    params, r = CATALOG_SURFACES[name]
     space = catalog(name, **params)
-    if fd:
+    if mode == "fd":
         space = fd_space(space)
     geom = sf.induced_geometry(space, sf.round_sphere_with_harmonics(grid24, r, [(2, 1, 0.03)]))
     fields = sf.ambient_fields(space, geom)
@@ -199,29 +209,18 @@ def test_cached_fields_match_pointwise_evaluators(grid24, name, params, r, fd):
     assert_close(fields.mu - fields.jnorm, cons.dec_margin)
 
 
-# name -> (params, mean radius) of an off-centre perturbed sphere inside the chart
-CATALOG_SURFACES = {
-    "euclidean": ({}, 1.0),
-    "schwarzschild": ({"m": 1.0}, 4.0),
-    "reissner_nordstrom": ({"m": 1.0, "q": 0.5}, 4.0),
-    "hyperboloid": ({"a": 1.0}, 1.0),
-    "paraboloid": ({"alpha": 0.5}, 1.0),
-    "hyperbolic": ({"a": 1.0}, 1.0),
-    "hemisphere": ({"radius": 1.0}, 1.0),
-}
-
-
 @pytest.mark.parametrize("name", sorted(CATALOG_SURFACES))
 def test_fill_without_closed_form_ricci_matches_catalog(grid24, name):
-    # a space without ricci_fn contracts Ric from the Riemann tensor of
-    # central-difference d2g; on a surface it must give the closed-form fill
-    # to the tolerance of test_missing_second_derivatives_are_differenced
+    # the oracle's Ric, contracted from the Riemann tensor of central-difference
+    # d2g, must give the closed-form fill on a surface to the tolerance of
+    # test_missing_second_derivatives_are_differenced
     params, r0 = CATALOG_SURFACES[name]
     space = catalog(name, **params)
     mesh = sf.round_sphere_with_harmonics(grid24, r0, [(2, 1, 0.05), (3, -2, 0.03)],
                                           center=(0.1, 0.05, -0.07))
     ref = sf.induced_geometry(space, mesh).ambient
-    got = sf.induced_geometry(dataclasses.replace(space, ricci_fn=None), mesh).ambient
+    differenced = differenced_ricci(space.metric_fn, space.dmetric_fn)
+    got = sf.induced_geometry(dataclasses.replace(space, ricci_fn=differenced), mesh).ambient
     for field in ("ricci", "scalar", "mu", "dec_margin"):
         exact = getattr(ref, field)
         scale = np.max(np.abs(exact)) + 1.0

@@ -10,8 +10,9 @@ field,value table: a field), or a mesh file's radii.  For each numeric
 field it prints the largest |a - b| / (1 + |a|) over the field's values (a
 from PARENT_DIR), and it lists every other difference: a file or field on
 one side only, another number of values, different text, or a different
-exit code.  The exit code is 1 when a drift exceeds --tol or any other
-difference is listed.
+exit code or stderr of a run (the work directory's and the checkout's paths
+read as <work> and <checkout>).  The exit code is 1 when a drift exceeds
+--tol or any other difference is listed.
 """
 
 import argparse
@@ -85,6 +86,11 @@ CONFIGS = [
         "space": {"name": "euclidean"}, "mode": "willmore",
         "flow": {"residual_tol": 1e-14, "max_steps": 60},
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]}}),
+    # no sphere of the radius-1 hemisphere is larger than its equator, of area 4 pi: the
+    # initial mesh's rescale toward 1.2 * 4 pi does not converge, and the flow exits 1
+    ("flow-hemisphere-unreachable-area", "flow", {
+        "space": {"name": "hemisphere", "params": {"radius": 1.0}}, "mode": "willmore",
+        "surface": {"sphere_r": 1.5}, "flow": {"target_area": 15.08}}),
     ("flow-hyperboloid-hawking", "flow", {
         "space": {"name": "hyperboloid", "params": {"a": 1.0}}, "mode": "hawking",
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]},
@@ -201,13 +207,29 @@ def compare(parent, change):
     return drift, differences
 
 
+def compare_runs(parent, change):
+    """The differences of two {run: (exit code, stderr)} maps: each run whose exit code
+    or stderr differs, with the last line of each stderr."""
+    differences = []
+    for run, (code, err) in parent.items():
+        b_code, b_err = change[run]
+        if code != b_code:
+            differences.append(f"{run}: exit code {code} in parent, {b_code} in change")
+        if err != b_err:
+            a_last, b_last = ((text.strip().splitlines() or [""])[-1] for text in (err, b_err))
+            differences.append(f"{run}: stderr {a_last!r} in parent, {b_last!r} in change")
+    return differences
+
+
 def run_side(checkout, work):
-    """{run/artefact name: text} and {run: exit code} of every config in the checkout."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"), **ENV)
+    """{run/artefact name: text} and {run: (exit code, stderr)} of every config in the
+    checkout."""
+    checkout = os.path.abspath(checkout)
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **ENV)
     os.makedirs(work, exist_ok=True)
     subprocess.run([sys.executable, "-c", ELLIPSOID.format(grid=GRID, path="ellipsoid.txt")],
                    cwd=work, env=env, check=True)
-    files, codes = {}, {}
+    files, runs = {}, {}
     for run, task, config in CONFIGS:
         for fmt in ("json", "csv"):
             out = os.path.join(work, f"{run}-{fmt}")
@@ -217,11 +239,12 @@ def run_side(checkout, work):
             proc = subprocess.run([sys.executable, "-m", "qll.cli", task, "--config", path,
                                    "--out", out, "--format", fmt],
                                   cwd=work, env=env, capture_output=True, text=True)
-            codes[f"{run}-{fmt}"] = proc.returncode
+            runs[f"{run}-{fmt}"] = proc.returncode, proc.stderr.replace(
+                work, "<work>").replace(checkout, "<checkout>")
             for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
                 with open(os.path.join(out, name), encoding="ascii") as fh:
                     files[f"{run}-{fmt}/{name}"] = fh.read()
-    return files, codes
+    return files, runs
 
 
 def main(argv=None):
@@ -232,11 +255,10 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as work:
-        a_files, a_codes = run_side(args.parent, os.path.join(work, "parent"))
-        b_files, b_codes = run_side(args.change, os.path.join(work, "change"))
+        a_files, a_runs = run_side(args.parent, os.path.join(work, "parent"))
+        b_files, b_runs = run_side(args.change, os.path.join(work, "change"))
     drift, differences = compare(a_files, b_files)
-    differences += [f"{run}: exit code {a_codes[run]} in parent, {b_codes[run]} in change"
-               for run in a_codes if a_codes[run] != b_codes[run]]
+    differences += compare_runs(a_runs, b_runs)
     for field, value in sorted(drift.items()):
         print(f"{value:.3e}  {field}")
     for difference in differences:

@@ -4,9 +4,9 @@ The descent speed is the lambda*-projected Euler-Lagrange residual (the
 negative constrained gradient up to the overall factor absorbed into the
 step size).  Steps are explicit Euler on the radius field with a
 backtracking line search on the functional.  Every trial mesh is rescaled
-multiplicatively to the target area before its functional is compared;
-the rescale iterates compute only their area (the area stage of a build),
-and only the final, rescaled mesh gets its full geometry.
+multiplicatively to the target area before its functional is compared, by
+induced_geometry given that area: the rescale iterates compute only their
+area stage, and only the final, rescaled mesh gets its full geometry.
 
 Plain explicit Euler on a 4th-order parabolic flow would need steps that
 scale like (grid spacing)^4; to converge in a practical step budget the
@@ -43,18 +43,17 @@ continue from the steps taken before them, on the coarser levels and in a
 stalled continuation (see below), so the first record is the step at which
 the requested grid's descent began.  One rule recovers the chain: the level
 descends directly from its own mesh, counting on from the steps taken
-before.  It applies when a coarser level or a prolongation raises (the
-failed level's steps count when its FlowError carries them), so the chain
-adds no failure mode, and when the requested grid stagnates after the
-chain, whatever the verdict of the level below.  The requested grid's
-descent raises as a direct one does.
+before.  It applies when a coarser level or the prolongation of its mesh
+raises (the failed level's steps count when its FlowError carries them), so
+the chain adds no failure mode, and when the requested grid stagnates after
+the chain, whatever the verdict of the level below.  The requested grid's
+descent, from the prolonged mesh's area stage on, raises as a direct one does.
 
-A flow holds one surface at a time.  A level hands the next one area stage,
-consumed once: the rescale that completes it empties the one-element list it
-is handed in, and a level that starts a chain keeps only its mesh, from which
-the fallback builds the stage again.  The line search holds the current mesh,
-functional, area and residual, not the geometry they came from, and a
-rejected trial is freed before the next one is built.
+A flow holds one surface at a time.  Its levels hand each other meshes, and
+every area stage is built inside induced_geometry, except the one whose area
+run_flow reads.  The line search holds the current mesh, functional, area and
+residual, not the geometry they came from, and a rejected trial is freed
+before the next one is built.
 """
 
 from dataclasses import dataclass, field
@@ -90,9 +89,10 @@ class FlowConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         # chained comparisons, so that nan fails them too
-        if not (self.target_area is None or 0 < self.target_area < np.inf) \
-                or not 0 < self.residual_tol < np.inf:
-            raise ValueError("target_area and residual_tol must be positive and finite")
+        if not (self.target_area is None or 0 < self.target_area < np.inf):
+            raise ValueError("target_area must be positive and finite")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
 
@@ -117,23 +117,6 @@ class FlowState:
     history: list = field(default_factory=list)   # the requested grid's records
 
 
-def _rescale_to_area(space, stage, target):
-    """Completed geometry of the area stage in the one-element list stage, which is
-    emptied, scaled to the target area.
-
-    The scaling iterates compute only their area stage; the last one alone is completed.
-    """
-    stage = stage.pop()
-    for _ in range(12):
-        c = np.sqrt(target / stage.area)
-        if abs(c - 1.0) < 1e-12:
-            break
-        stage = sf._area_stage(space, stage.mesh.scaled(c))
-    if abs(stage.area - target) > 1e-8 * target:
-        raise NumericError("area rescale did not converge to the target")
-    return sf.induced_geometry(space, stage)
-
-
 def _restricted(mesh):
     """mesh on its grid's coarse grid, or None when that level does not join the chain.
 
@@ -151,54 +134,50 @@ def _restricted(mesh):
 
 
 def run_flow(space, config, initial_mesh):
-    stage = [sf._area_stage(space, initial_mesh)]
-    area = stage[0].area
+    area = sf._area_stage(space, initial_mesh).area
     target = area if config.target_area is None else config.target_area
     if abs(area - target) > 0.5 * target:
         raise ValueError("initial area differs from target_area by more than 50%")
-    return _solve(space, config, stage.pop(), target)
+    return _solve(space, config, initial_mesh, target)
 
 
-def _solve(space, config, stage, target, requested=True):
-    """The flow of the area stage's mesh on its grid, continued from the coarser levels."""
-    mesh, stage, step = stage.mesh, [stage], 0
+def _solve(space, config, mesh, target, requested=True):
+    """The flow of mesh on its grid, continued from the coarser levels."""
+    step = 0
     coarse = _restricted(mesh)
     if coarse is not None:
-        stage.clear()                 # the chain keeps the mesh; a fallback builds the stage
         try:
-            below = _solve(space, config, sf._area_stage(space, coarse), target, False)
+            below = _solve(space, config, coarse, target, False)
             step = below.step_index
-            prolonged = [sf._area_stage(space, below.mesh.resampled(mesh.grid)[0])]
+            prolonged = below.mesh.resampled(mesh.grid)[0]
         except FlowError as exc:      # the direct descent below counts on from the failure
             if exc.state is not None:
                 step = exc.state.step_index
         except QLLError:
             pass
         else:
-            state = _descend(space, config, prolonged.pop(), target, step)
+            state = _descend(space, config, prolonged, target, step)
             if not (requested and state.status == "stagnated"):
                 return state
             step = state.step_index   # the chain stalled: descend directly
-    return _descend(space, config, stage.pop() if stage else sf._area_stage(space, mesh),
-                    target, step)
+    return _descend(space, config, mesh, target, step)
 
 
-def _descend(space, config, stage, target, step=0):
-    """The descent on the grid of the area stage's mesh, its first record numbered step.
+def _descend(space, config, mesh, target, step=0):
+    """The descent on the grid of mesh, its first record numbered step.
 
     config.max_steps bounds the step numbers, so it bounds the steps of every
     level together.  A step is accepted, rejected, stalled or degenerate (every
     trial raised); a degenerate step raises, a rejected or stalled one stagnates.
     """
-    mesh, area, stage = stage.mesh, stage.area, [stage]
     grid = mesh.grid
     history = []
     try:
-        geom = _rescale_to_area(space, stage, target)
+        geom = sf.induced_geometry(space, mesh, target)
     except (ChartDomainError, GeometryError, NumericError) as exc:
-        state = FlowState(mesh, "failed", step,
-                          hawking_functional(sf.induced_geometry(space, mesh)),
-                          area, float("nan"), history)
+        geom = sf.induced_geometry(space, mesh)
+        state = FlowState(mesh, "failed", step, hawking_functional(geom), geom.area,
+                          float("nan"), history)
         raise FlowError(f"initial mesh cannot reach the target area: {exc}",
                         state=state) from exc
 
@@ -240,8 +219,8 @@ def _descend(space, config, stage, target, step=0):
                 break
             new_radius = mesh.radius + trial_dt * rate
             try:
-                trial = _rescale_to_area(space, [sf._area_stage(
-                    space, SurfaceMesh(grid, new_radius, mesh.center))], target)
+                trial = sf.induced_geometry(space, SurfaceMesh(grid, new_radius, mesh.center),
+                                            target)
                 trial_functional = hawking_functional(trial)
             except (ChartDomainError, GeometryError, NumericError):
                 trial_dt *= BACKTRACK_FACTOR

@@ -4,9 +4,9 @@ A surface is a radial graph r(theta, phi) over the round sphere about a
 fixed center, sampled on a SphereGrid.  induced_geometry computes every
 first/second-fundamental-form quantity entering the energies and the
 Euler-Lagrange residuals in two stages: the area stage (frame, ambient and
-induced metric, area) and its completion.  The intrinsic Gauss curvature
-is computed on first use.  The remaining functions provide quadrature,
-intrinsic surface calculus and the Gauss-equation consistency check.
+induced metric, area), iterated alone to rescale the mesh to a given area,
+and its completion; the intrinsic Gauss curvature is computed on first use.
+Quadrature, surface calculus and the Gauss-equation check follow.
 """
 
 from collections import namedtuple
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import _bilinear, _fields, _first_kind, _zeros
-from .errors import GeometryError
+from .errors import GeometryError, NumericError
 from .grids import SphereGrid
 from .harmonics import real_harmonic_grid, resample
 
@@ -177,14 +177,21 @@ def tangential_trace_dnu_k(geom, nabla_k):
     return np.sum(dnu_k * tangential.reshape(dnu_k.shape), axis=-1)
 
 
-def induced_geometry(space, mesh):
+def induced_geometry(space, mesh, area=None):
     """Every induced quantity of mesh in space: the area stage, then its completion.
 
-    mesh may also be the area stage of a mesh in this space, computed
-    already (the flow's area rescale hands over its last iterate); it is
-    then only completed.
+    Given an area, mesh is first scaled multiplicatively to it: the scaling
+    iterates compute only their area stage, and the last one alone is completed.
     """
-    stage = mesh if isinstance(mesh, _AreaStage) else _area_stage(space, mesh)
+    stage = _area_stage(space, mesh)
+    if area is not None:
+        for _ in range(12):
+            c = np.sqrt(area / stage.area)
+            if abs(c - 1.0) < 1e-12:
+                break
+            stage = _area_stage(space, stage.mesh.scaled(c))
+        if abs(stage.area - area) > 1e-8 * area:
+            raise NumericError("area rescale did not converge to the target")
     return _completed(space, stage)
 
 

@@ -9,7 +9,7 @@ from qll import flow
 from qll import surface as sf
 from qll.ambient import catalog
 from qll.criticality import radial_rate, residual_report
-from qll.errors import FlowError, GeometryError
+from qll.errors import FlowError, GeometryError, NumericError
 from qll.functionals import energy_report, hawking_energy, hawking_functional
 from qll.grids import SphereGrid
 from qll.harmonics import HarmonicTransform
@@ -59,10 +59,12 @@ def test_flow_config_validation():
     with pytest.raises(ValueError, match="max_steps"):
         flow.FlowConfig(max_steps=-3)
     flow.FlowConfig(max_steps=0)
-    # nan passes a `<= 0` test, so finiteness is checked on its own
-    for bad in (dict(residual_tol=np.nan), dict(residual_tol=np.inf),
+    # nan passes a `<= 0` test, so finiteness is checked on its own; the message
+    # names the one field refused
+    for bad in (dict(residual_tol=np.nan), dict(residual_tol=np.inf), dict(residual_tol=0.0),
                 dict(target_area=np.nan), dict(target_area=np.inf)):
-        with pytest.raises(ValueError, match="finite"):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             flow.FlowConfig(**bad)
 
 
@@ -174,9 +176,8 @@ def test_accepted_step_is_band_limited(grid32, euclidean):
     # that radial_rate realises on the pole rows is not band-limited
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 2, 0.03), (3, -1, 0.02)])
     target = 4.0 * np.pi
-    stage = sf._area_stage(euclidean, mesh)
-    start = flow._rescale_to_area(euclidean, [stage], target)
-    state = flow._descend(euclidean, willmore_config(max_steps=1), stage, target)
+    start = sf.induced_geometry(euclidean, mesh, target)
+    state = flow._descend(euclidean, willmore_config(max_steps=1), mesh, target)
     assert state.step_index == 1
     transform = grid32.harmonic_transform
     ones = np.ones(transform.lmax + 1)
@@ -256,11 +257,11 @@ def test_coarse_stage_failure_falls_back_to_the_direct_solve(grid32, euclidean, 
     descend = flow._descend
     coarse = []
 
-    def failing_on_coarse(space, config, stage, target, step=0):
-        if stage.mesh.grid is grid32.coarse_grid:
-            coarse.append(stage.mesh)
+    def failing_on_coarse(space, config, mesh, target, step=0):
+        if mesh.grid is grid32.coarse_grid:
+            coarse.append(mesh)
             raise FlowError("mesh degenerated during flow")
-        return descend(space, config, stage, target, step)
+        return descend(space, config, mesh, target, step)
 
     monkeypatch.setattr(flow, "_descend", failing_on_coarse)
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
@@ -286,11 +287,11 @@ def test_failure_on_the_coarsest_level_falls_back_to_the_level_above(grid48, euc
     descend = flow._descend
     calls = []
 
-    def failing_on_12_rows(space, config, stage, target, step=0):
-        calls.append((stage.mesh.grid.ntheta, step))
-        if stage.mesh.grid.ntheta == 12:
+    def failing_on_12_rows(space, config, mesh, target, step=0):
+        calls.append((mesh.grid.ntheta, step))
+        if mesh.grid.ntheta == 12:
             raise FlowError("mesh degenerated during flow")
-        return descend(space, config, stage, target, step)
+        return descend(space, config, mesh, target, step)
 
     monkeypatch.setattr(flow, "_descend", failing_on_12_rows)
     mesh = sf.round_sphere_with_harmonics(grid48, 1.0, [(2, 0, 0.05)])
@@ -306,10 +307,10 @@ def test_fallback_counts_on_from_the_failed_level(grid48, euclidean, monkeypatch
     descend = flow._descend
     calls = []
 
-    def failing_after_12_rows(space, config, stage, target, step=0):
-        calls.append((stage.mesh.grid.ntheta, step))
-        state = descend(space, config, stage, target, step)
-        if stage.mesh.grid.ntheta == 12:
+    def failing_after_12_rows(space, config, mesh, target, step=0):
+        calls.append((mesh.grid.ntheta, step))
+        state = descend(space, config, mesh, target, step)
+        if mesh.grid.ntheta == 12:
             raise FlowError("mesh degenerated during flow", state=state)
         return state
 
@@ -331,10 +332,10 @@ def stalling(grids, monkeypatch):
     descend = flow._descend
     calls, states = [], []
 
-    def patched(space, config, stage, target, step=0):
-        rows = stage.mesh.grid.ntheta
+    def patched(space, config, mesh, target, step=0):
+        rows = mesh.grid.ntheta
         calls.append((rows, step))
-        state = descend(space, config, stage, target, step)
+        state = descend(space, config, mesh, target, step)
         if rows in grids and [n for n, _ in calls].count(rows) == 1:
             state.status = "stagnated"
         states.append(state)
@@ -448,11 +449,11 @@ def test_failure_on_the_requested_grid_is_not_retried(grid32, euclidean, monkeyp
     descend = flow._descend
     grids = []
 
-    def failing_on_requested(space, config, stage, target, step=0):
-        grids.append(stage.mesh.grid)
-        if stage.mesh.grid is grid32:
+    def failing_on_requested(space, config, mesh, target, step=0):
+        grids.append(mesh.grid)
+        if mesh.grid is grid32:
             raise FlowError("mesh degenerated during flow")
-        return descend(space, config, stage, target, step)
+        return descend(space, config, mesh, target, step)
 
     monkeypatch.setattr(flow, "_descend", failing_on_requested)
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
@@ -498,7 +499,7 @@ def test_step_whose_every_trial_raises_raises_with_its_state(shape, amplitude, t
     mesh = sf.round_sphere_with_harmonics(grid, 1.0, [(2, 0, amplitude)])
     coarse = flow._restricted(mesh)
     start = 0 if coarse is None else flow._solve(
-        euclidean, config, sf._area_stage(euclidean, coarse), config.target_area, False).step_index
+        euclidean, config, coarse, config.target_area, False).step_index
     refused = raising_trials(grid, monkeypatch)
     with pytest.raises(FlowError, match="degenerated") as err:
         flow.run_flow(euclidean, config, mesh)
@@ -529,11 +530,9 @@ def test_coarse_level_raising_a_non_flow_error_descends_directly(failing, grid32
     # mesh, counting on from the coarse steps taken before the error
     config = willmore_config()
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
-    coarse = sf._area_stage(euclidean, flow._restricted(mesh))
     start = 0 if failing == "coarse-area-stage" else flow._descend(
-        euclidean, config, coarse, config.target_area).step_index
-    direct = flow._descend(euclidean, config, sf._area_stage(euclidean, mesh),
-                           config.target_area, start)
+        euclidean, config, flow._restricted(mesh), config.target_area).step_index
+    direct = flow._descend(euclidean, config, mesh, config.target_area, start)
     if failing == "coarse-area-stage":
         area_stage = sf._area_stage
 
@@ -563,7 +562,7 @@ def test_coarse_level_raising_a_non_flow_error_descends_directly(failing, grid32
 def test_coarse_stage_reaches_the_direct_solution(seed):
     space, config, mesh = seed_problem(seed, (48, 96))
     state = flow.run_flow(space, config, mesh)
-    direct = flow._descend(space, config, sf._area_stage(space, mesh), config.target_area)
+    direct = flow._descend(space, config, mesh, config.target_area)
     assert state.history[0].step > 0
     assert state.status == direct.status == "converged"
     assert abs(state.functional - direct.functional) <= 1e-10
@@ -689,6 +688,25 @@ def test_flow_failure_carries_state(paraboloid):
     assert err.value.state.area == initial.area
 
 
+def test_unreachable_target_area_fails_with_the_initial_state():
+    # no sphere of the radius-1 hemisphere is larger than its equator, of area 4 pi:
+    # the rescale toward 1.2 * 4 pi does not converge, and the flow fails on its
+    # initial mesh, the coordinate sphere r = 1.5 of area 0.9216 * 4 pi
+    space = catalog("hemisphere", radius=1.0)
+    mesh = sf.coordinate_sphere(SphereGrid(16, 32), 1.5)
+    initial = sf.induced_geometry(space, mesh)
+    assert abs(initial.area / (4.0 * np.pi) - 0.9216) < 1e-10
+    target = 1.2 * 4.0 * np.pi
+    with pytest.raises(NumericError, match="did not converge to the target"):
+        sf.induced_geometry(space, mesh, target)
+    with pytest.raises(FlowError, match="cannot reach the target area") as err:
+        flow.run_flow(space, flow.FlowConfig(target_area=target), mesh)
+    state = err.value.state
+    assert state.status == "failed" and state.step_index == 0 and state.history == []
+    assert state.functional == hawking_functional(initial)
+    assert state.area == initial.area
+
+
 def test_trial_with_a_nonpositive_radius_backtracks(euclidean, monkeypatch):
     # a first step of 10 (area radius)^4 drives two trial radii through zero:
     # SurfaceMesh refuses them with a GeometryError and the line search backtracks
@@ -708,8 +726,7 @@ def test_trial_with_a_nonpositive_radius_backtracks(euclidean, monkeypatch):
 
 
 def test_area_rescale_exact_in_curved_space(grid32, hyperboloid):
-    start = sf._area_stage(hyperboloid, sf.coordinate_sphere(grid32, 1.1))
-    geom = flow._rescale_to_area(hyperboloid, [start], 4.0 * np.pi)
+    geom = sf.induced_geometry(hyperboloid, sf.coordinate_sphere(grid32, 1.1), 4.0 * np.pi)
     assert abs(geom.area - 4.0 * np.pi) / (4.0 * np.pi) < 1e-10
     full = sf.induced_geometry(hyperboloid, geom.mesh)
     assert full.area == geom.area
@@ -719,8 +736,7 @@ def test_area_rescale_exact_in_curved_space(grid32, hyperboloid):
 def test_flow_builds_only_what_it_reads(grid32, euclidean, monkeypatch):
     # each stage's initial mesh and every trial are completed once; the
     # rescale iterates compute only their area stage, and nothing reads K
-    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "trial", "_area_stage",
-                           "_rescale_to_area"), 0)
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "trial", "_area_stage", "rescaled"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -728,14 +744,19 @@ def test_flow_builds_only_what_it_reads(grid32, euclidean, monkeypatch):
             return fn(*args)
         return wrapper
 
+    def rescaled(space, mesh, area=None):
+        calls["rescaled"] += area is not None
+        return induced_geometry(space, mesh, area)
+
     def gauss_curvature_read(*args):
         raise AssertionError("the flow computed the Gauss curvature")
 
     space = dataclasses.replace(euclidean, **{
         name: counted(name, getattr(euclidean, name)) for name in ("metric_fn", "dmetric_fn")})
     monkeypatch.setattr(flow, "SurfaceMesh", counted("trial", sf.SurfaceMesh))
-    for owner, name in ((sf, "_area_stage"), (flow, "_rescale_to_area")):
-        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    induced_geometry = sf.induced_geometry
+    monkeypatch.setattr(sf, "induced_geometry", rescaled)
+    monkeypatch.setattr(sf, "_area_stage", counted("_area_stage", sf._area_stage))
     monkeypatch.setattr(sf, "_gauss_curvature_intrinsic", gauss_curvature_read)
 
     mesh = sf.round_sphere_with_harmonics(grid32, 1.0, [(2, 0, 0.05)])
@@ -743,7 +764,7 @@ def test_flow_builds_only_what_it_reads(grid32, euclidean, monkeypatch):
     assert state.status == "converged"
     assert state.history[0].step > 0
     # one initial rescale per stage, the coarse and the requested grid's
-    assert calls["_rescale_to_area"] == calls["trial"] + 2
-    assert calls["dmetric_fn"] == calls["_rescale_to_area"]
+    assert calls["rescaled"] == calls["trial"] + 2
+    assert calls["dmetric_fn"] == calls["rescaled"]
     assert calls["metric_fn"] == calls["_area_stage"]
-    assert calls["_area_stage"] > calls["_rescale_to_area"]
+    assert calls["_area_stage"] > calls["rescaled"]

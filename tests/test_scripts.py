@@ -3,6 +3,7 @@ they document."""
 
 import ast
 import csv
+import importlib
 import json
 import os
 import re
@@ -73,12 +74,17 @@ def test_readme_sweep_config(tmp_path):
         assert abs(float(row["brown_york"]) - r * (1.0 - np.sqrt(1.0 - 2.0 / r))) < 1e-10
 
 
-def test_bench_pairs_summary():
+def script(name):
+    """The module scripts/<name>.py."""
     sys.path.insert(0, os.path.join(ROOT, "scripts"))
     try:
-        import bench_pairs
+        return importlib.import_module(name)
     finally:
         sys.path.remove(os.path.join(ROOT, "scripts"))
+
+
+def test_bench_pairs_summary():
+    bench_pairs = script("bench_pairs")
     end_to_end = [{"name": "op_mean_ms", "unit": "ms", "better": "lower", "bound": 0.25},
                   {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
     runs = [((10.0, 5.0), (8.0, 6.0)), ((12.0, 4.0), (9.0, 4.0)), ((11.0, 6.0), (11.0, 5.0)),
@@ -128,11 +134,7 @@ def test_bench_pairs_summary():
 
 
 def test_report_drift_compare():
-    sys.path.insert(0, os.path.join(ROOT, "scripts"))
-    try:
-        import report_drift
-    finally:
-        sys.path.remove(os.path.join(ROOT, "scripts"))
+    report_drift = script("report_drift")
     parent = {
         "a/report.json": '{"E":1.0,"status":"converged","grid":[32,64],"rows":[{"s":0.5}]}\n',
         "a/report.csv": "field,value\nE,1.0\nstatus,\"x,y\"\n",
@@ -159,3 +161,17 @@ def test_report_drift_compare():
                       "a/gone.json: only in parent",
                       "a/new.json: only in change",
                       "a/report.json.status: non-numeric values differ"]
+
+
+def test_report_drift_compare_runs():
+    report_drift = script("report_drift")
+    message = "error: initial mesh cannot reach the target area: area rescale did not " \
+        "converge to the target\n"
+    parent = {"same": (0, ""), "moved": (1, message), "failed": (0, "")}
+    change = {"same": (0, ""), "moved": (1, "Traceback ...\nGeometryError: degenerate\n"),
+              "failed": (1, message)}
+    assert report_drift.compare_runs(parent, change) == [
+        f"moved: stderr {message.strip()!r} in parent, 'GeometryError: degenerate' in change",
+        "failed: exit code 0 in parent, 1 in change",
+        f"failed: stderr '' in parent, {message.strip()!r} in change"]
+    assert report_drift.compare_runs(parent, parent) == []

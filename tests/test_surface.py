@@ -316,7 +316,7 @@ def test_completed_area_stage_is_the_full_build(grid24, schwarzschild):
     mesh = sf.round_sphere_with_harmonics(grid24, 4.0, [(2, 1, 0.05), (3, -2, 0.03)])
     stage = sf._area_stage(space, mesh)
     assert calls == {"metric_fn": 1, "dmetric_fn": 0}
-    geom = sf.induced_geometry(space, stage)
+    geom = sf._completed(space, stage)
     # the completion reuses the stage's checked g and g^{-1}
     assert calls == {"metric_fn": 1, "dmetric_fn": 1}
     full = sf.induced_geometry(space, mesh)

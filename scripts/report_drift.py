@@ -96,8 +96,15 @@ CONFIGS = [
         "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.02]]},
         "flow": {"target_area": 13, "max_steps": 40}}),
     ("sweep-schwarzschild-n4", "sweep", {
-        "sweep": {"model": "schwarzschild", "n": 4, "params": {"m": 1.0},
+        "sweep": {"model": "schwarzschild", "params": {"m": 1.0, "n": 4},
                   "r_values": [2.0, 3.0, 5.0]}}),
+    # r ** 2 underflows to 0: exit 1 with the one error line that names the model, n and r
+    ("sweep-euclidean-underflow", "sweep", {
+        "sweep": {"model": "euclidean", "params": {"n": 4}, "r_values": [1e-300]}}),
+    # lambda_el ** 2 overflows in the L2 residual: exit 1 with the one error line, no warning
+    ("residual-lambda-overflow", "residual", {
+        "space": {"name": "schwarzschild"}, "surface": {"sphere_r": 4.0}, "grid": [16, 32],
+        "mode": "hawking", "lambda_el": 1e300}),
     ("sweep-paraboloid-lambda", "sweep", {
         "sweep": {"model": "paraboloid", "params": {"alpha": 0.5}, "r_values": [0.5, 1.0, 1.5]},
         "lambda_el": 0.3}),

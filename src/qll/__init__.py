@@ -31,8 +31,8 @@ from .functionals import (EnergyReport, brown_york_round, charged_hawking_energy
                           energy_report, f_integrals, hawking_energy,
                           hawking_functional, lambda_hawking_energy)
 from .grids import SphereGrid
-from .highdim import (RadialModel, nd_energy_consistency, radial_model,
-                      radial_sphere, radial_sweep, unit_sphere_volume)
+from .highdim import (RadialModel, radial_model, radial_sphere, radial_sweep,
+                      unit_sphere_volume)
 from .surface import (SurfaceGeometry, SurfaceMesh, coordinate_sphere, ellipsoid,
                       gauss_equation_check, induced_geometry, integrate,
                       load_mesh, round_sphere_with_harmonics, save_mesh,

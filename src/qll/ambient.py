@@ -4,9 +4,9 @@ An AmbientSpace evaluates the metric g, the symmetric 2-tensor k, their
 first coordinate derivatives, curvature, covariant derivatives of k, and
 the constraint densities mu, J at arbitrary chart points.  Every derivative
 is a closed form that the space supplies: dmetric_fn and ricci_fn always,
-and on k != 0 data dk_fn unless umbilic_a gives k = g / a.  Ric is the one
-curvature input; in three dimensions it determines the Riemann tensor,
-which curvature_at forms from it.
+and dk_fn with k_fn; umbilic data k = g / a gives umbilic_a instead of both.
+Ric is the one curvature input; in three dimensions it determines the
+Riemann tensor, which curvature_at forms from it.
 
 All evaluators are vectorized over a leading batch of chart points: inputs
 of shape (..., 3) give tensors of shape (..., 3, 3) etc.  Derivative index
@@ -26,27 +26,27 @@ class AmbientSpace:
     name: str
     params: dict
     metric_fn: object
-    k_fn: object = None            # None means k identically 0
+    k_fn: object = None            # k_ab; with no umbilic_a either, k is identically 0
     dmetric_fn: object = None      # d_c g_ab, required
-    dk_fn: object = None           # d_c k_ab, required on k != 0 data unless umbilic_a is set
+    dk_fn: object = None           # d_c k_ab, required exactly when k_fn is given
     ricci_fn: object = None        # R_ab, required
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
-    # a when k = g / a (umbilic data): the build and the fill divide the g and dg they
-    # already hold by a, which gives bitwise the values of k_fn and dk_fn
+    # a when k = g / a (umbilic data), in place of k_fn and dk_fn: k_tensor, the build
+    # and the fill divide g and dg by a
     umbilic_a: float = None
 
     def __post_init__(self):
-        needed = ["dmetric_fn", "ricci_fn"]
-        if self.k_fn is not None and self.umbilic_a is None:
-            needed.append("dk_fn")
+        if self.k_fn is not None and self.umbilic_a is not None:
+            raise CatalogError(f"space '{self.name}' gives k twice: by k_fn and by umbilic_a")
+        needed = ["dmetric_fn", "ricci_fn"] + (["dk_fn"] if self.k_fn is not None else [])
         missing = [name for name in needed if getattr(self, name) is None]
         if missing:
             raise CatalogError(f"space '{self.name}' lacks the closed form(s) {', '.join(missing)}")
 
     @property
     def time_symmetric(self):
-        return self.k_fn is None
+        return self.k_fn is None and self.umbilic_a is None
 
     def check_points(self, points):
         """Points with a non-finite chart radius, then points outside the chart, are
@@ -74,8 +74,11 @@ class AmbientSpace:
         return g, _spd_inverse(g, self.name)
 
     def k_tensor(self, points):
-        """k at points; a read-only zero view (_zeros) on time-symmetric data."""
+        """k at points: g / a on umbilic data, a read-only zero view (_zeros) on
+        time-symmetric data."""
         points = np.asarray(points, dtype=float)
+        if self.umbilic_a is not None:
+            return self.metric_fn(points) / self.umbilic_a
         return _zeros(points.shape[:-1] + (3, 3)) if self.k_fn is None else self.k_fn(points)
 
     def efield(self, points):
@@ -386,15 +389,7 @@ def _hyperbolic_metric_fns(a):
 def _hyperboloid(a):
     if a <= 0:
         raise CatalogError("hyperboloid needs a > 0")
-    fns = _hyperbolic_metric_fns(a)
-
-    def k_fn(points):
-        return fns["metric_fn"](points) / a
-
-    def dk_fn(points):
-        return fns["dmetric_fn"](points) / a
-
-    return AmbientSpace("hyperboloid", {"a": a}, k_fn=k_fn, dk_fn=dk_fn, umbilic_a=a, **fns)
+    return AmbientSpace("hyperboloid", {"a": a}, umbilic_a=a, **_hyperbolic_metric_fns(a))
 
 
 def _schwarzschild(m):

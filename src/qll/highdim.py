@@ -5,20 +5,18 @@ A RadialModel is a spherically symmetric n-dimensional initial data set
     k = k_rad(r) phi dr (x) dr + k_tan(r) r^2 g_{S^{n-1}},
 on which every quantity entering the n-dimensional Willmore/Hawking
 equation and both generalized energies is closed form.  At n = 3 all
-values agree with the meshed 3-dimensional modules on the same data.
+values agree with the meshed 3-dimensional modules on the catalog space of
+the same name; the tests (test_highdim.py and acceptance criterion 8) check
+that agreement, each building the meshed twin itself.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import gamma as gamma_fn
-from numbers import Real
 
 import numpy as np
 
-from . import surface as sf
-from .ambient import _lookup, catalog
+from .ambient import _lookup
 from .errors import CatalogError, GeometryError, HypothesisError, NumericError
-from .functionals import hawking_energy
-from .grids import SphereGrid
 
 
 def unit_sphere_volume(n_minus_1):
@@ -39,13 +37,11 @@ class RadialModel:
     dk_tan: object = None
     r_min: float = 0.0
     r_max: float = np.inf
-    # parameters of the 3-d catalog entry of the same name, used by the
-    # n = 3 consistency check
-    catalog_params: dict = None
 
     def __post_init__(self):
         if self.n < 3:
-            raise CatalogError("radial models need dimension n >= 3")
+            raise CatalogError(f"radial model '{self.name}' needs dimension n >= 3, "
+                               f"got n = {self.n}")
         if self.k_rad is not None and None in (self.k_tan, self.dk_rad, self.dk_tan):
             raise CatalogError(f"radial model '{self.name}' gives k_rad without "
                                "k_tan, dk_rad and dk_tan")
@@ -59,8 +55,7 @@ class RadialModel:
 
 
 def euclidean_model(n):
-    return RadialModel("euclidean", n, phi=lambda r: 1.0, dphi=lambda r: 0.0,
-                       catalog_params={})
+    return RadialModel("euclidean", n, phi=lambda r: 1.0, dphi=lambda r: 0.0)
 
 
 def schwarzschild_model(n, m):
@@ -74,9 +69,8 @@ def schwarzschild_model(n, m):
     def dphi(r):
         return -2.0 * m * p * r ** (-p - 1) * phi(r) ** 2
 
-    rmin = (2.0 * m) ** (1.0 / p) if m > 0 else 0.0
-    return RadialModel("schwarzschild", n, phi=phi, dphi=dphi, r_min=rmin,
-                       catalog_params={"m": m})
+    model = RadialModel("schwarzschild", n, phi=phi, dphi=dphi)   # n >= 3 before 1 / p
+    return replace(model, r_min=(2.0 * m) ** (1.0 / p) if m > 0 else 0.0)
 
 
 def hyperboloid_model(a, n=3):
@@ -92,8 +86,7 @@ def hyperboloid_model(a, n=3):
     const = lambda r: 1.0 / a
     zero = lambda r: 0.0
     return RadialModel("hyperboloid", n, phi=phi, dphi=dphi,
-                       k_rad=const, k_tan=const, dk_rad=zero, dk_tan=zero,
-                       catalog_params={"a": a})
+                       k_rad=const, k_tan=const, dk_rad=zero, dk_tan=zero)
 
 
 def paraboloid_model(alpha, n=3):
@@ -122,7 +115,7 @@ def paraboloid_model(alpha, n=3):
 
     return RadialModel("paraboloid", n, phi=phi, dphi=dphi,
                        k_rad=k_rad, k_tan=k_tan, dk_rad=dk_rad, dk_tan=dk_tan,
-                       r_max=1.0 / alpha, catalog_params={"alpha": alpha})
+                       r_max=1.0 / alpha)
 
 
 # name -> (constructor, default of each parameter)
@@ -136,9 +129,6 @@ RADIAL_CATALOG = {
 
 def radial_model(name, **params):
     """Construct a RadialModel by name; n is the dimension (default 3, at least 3)."""
-    n = params.get("n", 3)
-    if isinstance(n, Real) and not isinstance(n, bool) and n < 3:  # before 1/(n - 2) is formed
-        raise CatalogError(f"radial model '{name}' needs dimension n >= 3, got n = {n}")
     return _lookup(RADIAL_CATALOG, "radial model", name, params)
 
 
@@ -177,13 +167,14 @@ def radial_sphere(model, r, lam=0.0):
     """Closed-form report for the coordinate sphere of radius r.
 
     A value out of floating-point range (a large dimension n overflows r**n
-    and Gamma(n/2)) is a NumericError that names the model, n and r.
+    and Gamma(n/2), a tiny r underflows r**2 to a zero divisor) is a
+    NumericError that names the model, n and r.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             report = _closed_form(model, r, lam)
         finite = all(np.isfinite(v) for v in report.as_dict().values() if isinstance(v, float))
-    except (OverflowError, FloatingPointError):
+    except ArithmeticError:
         finite = False
     if not finite:
         raise NumericError(f"radial model '{model.name}' at n = {model.n}, r = {r}: "
@@ -268,23 +259,6 @@ def _closed_form(model, r, lam):
     elif model.k_rad is not None:
         raise HypothesisError("f_nd requires H > 0")
     return report
-
-
-def nd_energy_consistency(model, r):
-    """Defects |E_{3,i} - E| of both dynamical energies against the 3-d modules at 48x96.
-
-    Only meaningful at n = 3, where the radial model has a meshed twin.
-    """
-    if model.n != 3:
-        raise ValueError("the 3-d consistency check needs n = 3")
-    if model.catalog_params is None:
-        raise ValueError(f"radial model '{model.name}' has no 3-d catalog twin")
-    space = catalog(model.name, **model.catalog_params)
-    grid = SphereGrid(48, 96)
-    geom = sf.induced_geometry(space, sf.coordinate_sphere(grid, r))
-    energy3 = hawking_energy(geom)
-    rep = radial_sphere(model, r)
-    return abs(rep.energy_1_dynamic - energy3), abs(rep.energy_2_dynamic - energy3)
 
 
 def radial_sweep(model, r_values, lam=0.0):

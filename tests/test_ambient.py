@@ -133,6 +133,15 @@ def test_hyperboloid_tr_k_parallel(hyperboloid):
     assert np.max(np.abs(dtrk)) < 1e-11
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_hyperboloid_k_parallel(a):
+    # umbilic_a declares k = g / a, which is parallel: nabla k = 0, so J = 0 too
+    space = catalog("hyperboloid", a=a)
+    pts = random_points(np.random.default_rng(17), 40, 0.1, 6.0)
+    assert np.max(np.abs(nabla_k_at(space, pts))) <= 1e-13
+    assert np.max(constraint_data_at(space, pts).jnorm) <= 1e-11
+
+
 # -- constraint_data_at ------------------------------------------------------
 
 def test_euclidean_constraints_vanish(euclidean):
@@ -362,15 +371,20 @@ def test_fd_second_order_convergence(monkeypatch, hyperboloid):
 def test_space_without_closed_forms_is_rejected():
     # the library evaluates closed forms only: the error names each one the fill reads
     base = catalog("hyperboloid", a=1.0)
+    k_fn = lambda points: base.metric_fn(points) / 1.0
     with pytest.raises(CatalogError, match=r"'bare' lacks the closed form\(s\) dmetric_fn, "
                                            r"ricci_fn$"):
         AmbientSpace("bare", {}, base.metric_fn)
     with pytest.raises(CatalogError, match=r"dmetric_fn, ricci_fn, dk_fn$"):
-        AmbientSpace("bare", {}, base.metric_fn, base.k_fn)
+        AmbientSpace("bare", {}, base.metric_fn, k_fn)
     with pytest.raises(CatalogError, match=r"closed form\(s\) dk_fn$"):
-        dataclasses.replace(base, umbilic_a=None, dk_fn=None)
-    # umbilic data divides dg by a, so it needs no dk_fn
-    assert dataclasses.replace(base, dk_fn=None).umbilic_a == 1.0
+        dataclasses.replace(base, umbilic_a=None, k_fn=k_fn)
+    # umbilic data divides g and dg by a, so it needs neither k_fn nor dk_fn
+    assert base.umbilic_a == 1.0 and base.k_fn is None and base.dk_fn is None
+    assert not base.time_symmetric
+    # k is given once: by k_fn with dk_fn, or by umbilic_a
+    with pytest.raises(CatalogError, match=r"'hyperboloid' gives k twice"):
+        dataclasses.replace(base, k_fn=k_fn, dk_fn=lambda points: base.dmetric_fn(points) / 1.0)
 
 
 def test_fd_mode_without_analytic_derivatives():

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import os
 import re
@@ -185,7 +187,7 @@ def test_flow_task(tmp_path):
 
 def test_sweep_task(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
-        "sweep": {"model": "schwarzschild", "n": 4, "params": {"m": 1.0},
+        "sweep": {"model": "schwarzschild", "params": {"m": 1.0, "n": 4},
                   "r_values": [3.0, 4.0, 6.0]},
         "output": {"dir": str(tmp_path)},
     })
@@ -397,10 +399,21 @@ def sweep_with(catalog_space, **top):
     lambda: (*broken("eval", surface={"mesh_file": "x", "center": [0.1, 0.0, 0.0]}),
              "'surface.center'", "'mesh_file'"),
     # r ** (n - 2) overflows at n = 1000: a NumericError naming the model, n and r
-    lambda: (*broken_sweep(n=1000, params={"m": 1.0}, r_values=[3.0]),
+    lambda: (*broken_sweep(params={"m": 1.0, "n": 1000}, r_values=[3.0]),
              "'schwarzschild'", "n = 1000", "r = 3.0"),
     # n = 2 is rejected before schwarzschild's horizon (2m)^(1/(n - 2)) divides by zero
-    lambda: (*broken_sweep(n=2, params={"m": 1.0}), "'schwarzschild'", "n = 2"),
+    lambda: (*broken_sweep(params={"m": 1.0, "n": 2}), "'schwarzschild'", "n = 2"),
+    # r ** 2 underflows to 0 at r = 1e-300: a NumericError naming the model, n and r (it
+    # used to end in a ZeroDivisionError traceback)
+    lambda: (*broken_sweep(model="euclidean", params={"n": 4}, r_values=[1e-300]),
+             "'euclidean'", "n = 4", "r = 1e-300"),
+    # a finite input that overflows inside a task: the library's finiteness check is the one
+    # line, with no numpy RuntimeWarning printed before it
+    lambda: (*broken("residual", space={"name": "schwarzschild"}, surface={"sphere_r": 4.0},
+                     mode="hawking", lambda_el=1e300), "non-finite"),
+    lambda: (*broken("eval", surface={"round_r": 1.7e308}), "non-finite chart radius"),
+    lambda: (*broken("eval", space={"name": "hyperboloid"}, surface={"round_r": 1.0},
+                     hypothesis={"beta": 1.7e308}), "non-finite"),
     # non-finite numbers, which JSON's NaN and Infinity parse to, and an integer
     # beyond a float's range
     lambda: broken_flow(residual_tol=float("nan")),
@@ -422,8 +435,8 @@ def sweep_with(catalog_space, **top):
     lambda: (*sweep_with(True, lambda_el=0.3), "'lambda_el'", "catalog-space sweep"),
     lambda: (*sweep_with(False, Lambda=-3.0), "'Lambda'", "radial-model sweep"),
     lambda: (*sweep_with(False, hypothesis={"beta": 0.25}), "'hypothesis'", "radial-model sweep"),
-    # a radial sweep sets its dimension once (sweep.n used to override sweep.params.n)
-    lambda: (*broken_sweep(n=4, params={"m": 1.0, "n": 5}), "sweep.params.n"),
+    # a radial sweep's dimension is the model parameter sweep.params.n
+    lambda: (*broken_sweep(n=4, params={"m": 1.0}), "field 'sweep.n' is not a setting"),
     # a lapse takes one of its two forms (seed and lmax used to be dropped)
     lambda: (*broken("varcheck", varcheck={"lapse": {"l": 2, "m": 0, "seed": 7, "lmax": 4}}),
              "varcheck.lapse"),
@@ -490,6 +503,50 @@ def test_non_numeric_field_is_a_typed_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(os.path.join(tmp, "run.json"), raw)
         assert main([task, "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
+EXTREME_RUNS = dict(FUZZ_RUNS, **{
+    "sweep": {"sweep": {"model": "euclidean", "params": {"n": 4}, "r_values": [0.5, 2.0]},
+              "lambda_el": 0.3},
+    "flow": {"space": {"name": "euclidean"}, "mode": "willmore", "grid": [16, 32],
+             "surface": {"round_r": 1.0, "perturbations": [[2, 0, 0.05]]},
+             "flow": {"max_steps": 3, "target_area": 12.0, "residual_tol": 1e-5}},
+    "varcheck": {"space": {"name": "schwarzschild", "params": {"m": 1.0}}, "grid": [16, 32],
+                 "surface": {"round_r": 4.0, "perturbations": [[2, 1, 0.03]]},
+                 "varcheck": {"lapse": {"l": 2, "m": 0, "amplitude": 1.0},
+                              "s_values": [1.6e-2, 8e-3]}},
+})
+EXTREMES = [0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1]
+
+
+def _numeric_paths(obj, prefix=()):
+    """The key and index paths of every number (not bool) in a config."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_paths(value, prefix + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + (key,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_extreme_numeric_field_is_a_typed_error(data):
+    # any one number replaced by a zero, a tiny, a huge or a negative value: a report or an
+    # exit code with at most the one error line, never a traceback or a numpy warning
+    task = data.draw(st.sampled_from(sorted(EXTREME_RUNS)))
+    raw = copy.deepcopy(EXTREME_RUNS[task])
+    path = data.draw(st.sampled_from(list(_numeric_paths(raw))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(EXTREMES))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_config(os.path.join(tmp, "run.json"), raw)
+        code = main([task, "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2) and err.getvalue().count("\n") == (code != 0)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
 
 
 def test_exit_code_bad_grid_flag(tmp_path):

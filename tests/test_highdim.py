@@ -8,7 +8,7 @@ from qll import highdim as hd
 from qll import surface as sf
 from qll.ambient import catalog
 from qll.errors import CatalogError, GeometryError, NumericError
-from qll.functionals import f_integrals
+from qll.functionals import f_integrals, hawking_energy
 from qll.grids import SphereGrid
 
 
@@ -65,15 +65,13 @@ def test_mass_perturbation_sign():
     ("paraboloid", {"alpha": 0.5}, 1.0),
 ])
 def test_n3_reduction_against_meshed_module(name, params, r):
-    model = hd.radial_model(name, **params)
-    d1, d2 = hd.nd_energy_consistency(model, r)
-    assert d1 < 1e-8
-    assert d2 < 1e-8
-
-
-def test_consistency_requires_n3():
-    with pytest.raises(ValueError):
-        hd.nd_energy_consistency(hd.euclidean_model(4), 1.0)
+    # the meshed twin of an n = 3 radial model is the catalog space of the same name
+    geom = sf.induced_geometry(catalog(name, **params),
+                               sf.coordinate_sphere(SphereGrid(48, 96), r))
+    energy3 = hawking_energy(geom)
+    rep = hd.radial_sphere(hd.radial_model(name, **params), r)
+    assert abs(rep.energy_1_dynamic - energy3) < 1e-8
+    assert abs(rep.energy_2_dynamic - energy3) < 1e-8
 
 
 def test_f_nd_reduces_to_f_pointwise():
@@ -115,13 +113,19 @@ def test_domain_checks():
         hd.radial_model("torus")
     with pytest.raises(CatalogError):
         hd.radial_model([])
-    with pytest.raises(CatalogError):
-        hd.euclidean_model(2)
+    # RadialModel checks the dimension, and schwarzschild_model builds the model before its
+    # horizon (2m)^(1/(n - 2)) divides by n - 2
+    for name, build in (("euclidean", lambda: hd.euclidean_model(2)),
+                        ("schwarzschild", lambda: hd.schwarzschild_model(2, 1.0)),
+                        ("schwarzschild", lambda: hd.radial_model("schwarzschild", n=2))):
+        with pytest.raises(CatalogError, match=f"'{name}' needs dimension n >= 3, got n = 2$"):
+            build()
     with pytest.raises(CatalogError):  # k without its analytic derivatives
         dataclasses.replace(hd.hyperboloid_model(1.0), dk_tan=None)
-    # out of floating-point range: the profile (r ** (n - 2)), Gamma(n/2), or the energies
+    # out of floating-point range: the profile (r ** (n - 2)), Gamma(n/2), the energies, or
+    # r ** 2 underflowing to a zero divisor
     for model, r in ((hd.schwarzschild_model(1000, 1.0), 3.0), (hd.euclidean_model(400), 1.0),
-                     (hd.euclidean_model(3), 1e150)):
+                     (hd.euclidean_model(3), 1e150), (hd.euclidean_model(4), 1e-300)):
         named = re.escape(f"'{model.name}' at n = {model.n}, r = {r}")
         with pytest.raises(NumericError, match=named):
             hd.radial_sphere(model, r)

@@ -74,6 +74,19 @@ def test_readme_sweep_config(tmp_path):
         assert abs(float(row["brown_york"]) - r * (1.0 - np.sqrt(1.0 - 2.0 / r))) < 1e-10
 
 
+def test_readme_radial_sweep_config(tmp_path):
+    from qll.cli import main
+    config = next(b for b in readme_json_blocks() if "sweep" in b and "model" in b["sweep"])
+    config["output"]["dir"] = str(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(tmp_path / "run.json")]) == 0
+    with open(tmp_path / "sweep.csv", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    # the documented 4-dimensional Schwarzschild energies, which equal m on every sphere
+    assert [int(row["n"]) for row in rows] == [4] * len(config["sweep"]["r_values"])
+    assert all(abs(float(row["energy_1_static"]) - 1.0) < 1e-10 for row in rows)
+
+
 def script(name):
     """The module scripts/<name>.py."""
     sys.path.insert(0, os.path.join(ROOT, "scripts"))

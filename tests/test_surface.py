@@ -254,8 +254,7 @@ def _counted_space(space, names, calls):
 def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypatch):
     # the field fill reads the catalog's closed-form Ricci tensor, once per surface; the
     # hyperboloid's k = g / a and dk = dg / a come from the g and dg the build holds
-    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "ricci_fn", "k_fn", "dk_fn",
-                           "gauss_curvature"), 0)
+    calls = dict.fromkeys(("metric_fn", "dmetric_fn", "ricci_fn", "gauss_curvature"), 0)
     space = _counted_space(hyperboloid, list(calls)[:-1], calls)
     intrinsic = sf._gauss_curvature_intrinsic
 
@@ -270,9 +269,9 @@ def test_ambient_fields_evaluated_once_per_surface(grid24, hyperboloid, monkeypa
     assert calls["gauss_curvature"] == 0
     energy_report(space, geom)
     sf.gauss_equation_check(space, geom)
-    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "ricci_fn": 1,
-                     "k_fn": 0, "dk_fn": 0, "gauss_curvature": 1}
-    assert geom.k_amb.tobytes() == hyperboloid.k_fn(geom.X).tobytes()
+    assert calls == {"metric_fn": 1, "dmetric_fn": 1, "ricci_fn": 1, "gauss_curvature": 1}
+    assert hyperboloid.k_fn is None and hyperboloid.dk_fn is None
+    assert geom.k_amb.tobytes() == hyperboloid.k_tensor(geom.X).tobytes()
 
 
 def test_time_symmetric_surface_never_forms_christoffels(grid24, schwarzschild, monkeypatch):

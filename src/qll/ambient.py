@@ -6,7 +6,9 @@ the constraint densities mu, J at arbitrary chart points.  Every derivative
 is a closed form that the space supplies: dmetric_fn and ricci_fn always,
 and dk_fn with k_fn; umbilic data k = g / a gives umbilic_a instead of both.
 Ric is the one curvature input; in three dimensions it determines the
-Riemann tensor, which curvature_at forms from it.
+Riemann tensor, which curvature_at forms from it.  On data whose k is
+parallel (parallel_k: k = 0, or k = g / a by metric compatibility) nabla k
+and J are exact zeros, and neither Gamma nor dk is formed.
 
 All evaluators are vectorized over a leading batch of chart points: inputs
 of shape (..., 3) give tensors of shape (..., 3, 3) etc.  Derivative index
@@ -32,8 +34,8 @@ class AmbientSpace:
     ricci_fn: object = None        # R_ab, required
     chart_fn: object = None        # None means the whole chart R^3
     efield_fn: object = None       # electric vector field (optional extra data)
-    # a when k = g / a (umbilic data), in place of k_fn and dk_fn: k_tensor, the build
-    # and the fill divide g and dg by a
+    # a when k = g / a (umbilic data), in place of k_fn and dk_fn: k_tensor and the
+    # build divide g by a, and nabla k = 0
     umbilic_a: float = None
 
     def __post_init__(self):
@@ -47,6 +49,11 @@ class AmbientSpace:
     @property
     def time_symmetric(self):
         return self.k_fn is None and self.umbilic_a is None
+
+    @property
+    def parallel_k(self):
+        """nabla k = 0 exactly: k = 0, or umbilic k = g / a by metric compatibility."""
+        return self.k_fn is None
 
     def check_points(self, points):
         """Points with a non-finite chart radius, then points outside the chart, are
@@ -210,7 +217,7 @@ class AmbientFields:
 
     ricci: np.ndarray      # R_ab
     scalar: np.ndarray
-    nabla_k: np.ndarray    # (nabla_a k)_bc; None on a k != 0 surface, which keeps its trace
+    nabla_k: np.ndarray    # (nabla_a k)_bc; None on a k_fn surface, which keeps its trace
     mu: np.ndarray
     J: np.ndarray          # covector components J_a
     jnorm: np.ndarray      # |J|_g
@@ -227,41 +234,44 @@ def constraint_data_at(space, points):
     J = div(k - (tr k) g) at chart points."""
     points = np.asarray(points, dtype=float)
     _, ginv = space._metric_and_inverse(points)
-    dg = [] if space.time_symmetric else [space.dmetric_fn(points)]
+    dg = [] if space.parallel_k else [space.dmetric_fn(points)]
     return _fields(space, points, ginv, dg, space.k_tensor(points))
 
 
 def _fields(space, points, ginv, dg, k):
     """AmbientFields from first-order data already evaluated at points.
 
-    dg is [dg] on k != 0 data, else [].  The fill empties the list, so that
+    dg is [dg] on k_fn data, else [].  The fill empties the list, so that
     dg is freed once Gamma and dk exist: a caller's reference to an argument
     would keep it alive until the return.  Gamma is formed only for nabla k.
-    On time-symmetric data every k-term is an exact +0.0, a read-only zero
-    view, and is not computed.
+    Where k is parallel, nabla k, J and |J| are exact +0.0 read-only zero
+    views, and on time-symmetric data |k|^2 is too.
     """
     dg = dg.pop() if dg else None
     gamma = None if dg is None else _christoffels(ginv, dg)
     ricci = space.ricci_fn(points)
     scalar = _scalar(ginv, ricci)
+    if space.parallel_k:
+        nk, J, jnorm = (_zeros(scalar.shape + tail) for tail in ((3, 3, 3), (3,), ()))
+    else:
+        dk = space.dk_fn(points)
+        del dg
+        nk = _nabla_k(gamma, k, dk)
+        del gamma, dk
+        # J_a = g^{bc} (nabla_b k)_{ca} - g^{bc} (nabla_a k)_{bc}
+        J = (np.einsum("...bc,...bca->...a", ginv, nk)
+             - np.einsum("...bc,...abc->...a", ginv, nk))
+        jnorm = np.sqrt(_bilinear(ginv, J, J))
     if space.time_symmetric:
+        ksq = _zeros(scalar.shape)
         # Sc + 0.0 turns a -0.0 into +0.0, exactly as Sc + (tr k)^2 - |k|^2 does
-        return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=_zeros(scalar.shape + (3, 3, 3)),
-                             mu=0.5 * (scalar + 0.0), J=_zeros(scalar.shape + (3,)),
-                             jnorm=_zeros(scalar.shape), ksq=_zeros(scalar.shape))
-    dk = dg / space.umbilic_a if space.umbilic_a is not None else space.dk_fn(points)
-    del dg
-    nk = _nabla_k(gamma, k, dk)
-    del gamma, dk
-    kmix = ginv @ k                          # k^a_b
-    trk = np.trace(kmix, axis1=-2, axis2=-1)
-    ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
-    # J_a = g^{bc} (nabla_b k)_{ca} - g^{bc} (nabla_a k)_{bc}
-    J = (np.einsum("...bc,...bca->...a", ginv, nk)
-         - np.einsum("...bc,...abc->...a", ginv, nk))
-    jnorm = np.sqrt(_bilinear(ginv, J, J))
-    return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=nk,
-                         mu=0.5 * (scalar + trk ** 2 - ksq), J=J, jnorm=jnorm, ksq=ksq)
+        mu = 0.5 * (scalar + 0.0)
+    else:
+        kmix = ginv @ k                      # k^a_b
+        trk = np.trace(kmix, axis1=-2, axis2=-1)
+        ksq = np.sum(kmix * np.swapaxes(kmix, -1, -2), axis=(-2, -1))
+        mu = 0.5 * (scalar + trk ** 2 - ksq)
+    return AmbientFields(ricci=ricci, scalar=scalar, nabla_k=nk, mu=mu, J=J, jnorm=jnorm, ksq=ksq)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ The willmore residual is
 and the full equation adds the k-terms
     + P (nabla_nu tr k - nabla_nu k(nu,nu)) - 2 P div_Sigma(k(., nu))
     + (1/2) H P^2 - 2 k(grad_Sigma P, nu).
+On umbilic data k = g / a, k is parallel and k(., nu) = nu^flat / a is
+normal, so the k-terms are (1/2) H P^2 alone.
 
 first_variation_check verifies, by central differences in the deformation
 parameter, that d/ds of the quarter-integral of H^2 - P^2 along a normal
@@ -39,6 +41,9 @@ def _residual_terms(space, geom, mode):
     lap_H = sf.surface_laplacian(geom, geom.H)
     R0 = lap_H + geom.H * geom.traceless_sq + geom.H * geom.ric_nn
     if mode == "hawking" and not space.time_symmetric:
+        if space.parallel_k:
+            # k = g / a is parallel and k(., nu)^# = nu / a normal: only (1/2) H P^2 remains
+            return R0 + 0.5 * geom.H * geom.P ** 2
         k_up_nu = np.einsum("...ab,...bc,...c->...a", geom.ginv_amb, geom.k_amb, geom.nu)
         div_k = sf.tangential_divergence(geom, k_up_nu)
         gradP = sf.gradient_ambient(geom, geom.P)

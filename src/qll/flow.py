@@ -52,8 +52,9 @@ descent, from the prolonged mesh's area stage on, raises as a direct one does.
 A flow holds one surface at a time.  Its levels hand each other meshes, and
 every area stage is built inside induced_geometry, except the one whose area
 run_flow reads.  The line search holds the current mesh, functional, area and
-residual, not the geometry they came from, and a rejected trial is freed
-before the next one is built.
+residual, not the geometry they came from; a rejected trial is freed before
+the next one is built, and an accepted one is held only as the next step's
+geometry.
 """
 
 from dataclasses import dataclass, field
@@ -226,7 +227,8 @@ def _descend(space, config, mesh, target, step=0):
                 trial_dt *= BACKTRACK_FACTOR
                 continue
             if trial_functional <= functional:
-                geom, functional = trial, trial_functional
+                # geom alone holds the accepted surface, freed before the next trials
+                geom, functional, trial = trial, trial_functional, None
                 dt = min(trial_dt * STEP_GROWTH, dt_max)
                 outcome = "accepted"
                 break

@@ -83,6 +83,9 @@ def f_integrals(space, geom, beta=0.25, lam=0.0):
     f_beta = (P / H) ** 2 * ksq + core - beta * (ksq + ring + 2.0 * jnorm)
     if space.time_symmetric:
         f_tilde = f     # k = 0: the k(grad log H, nu) term is an exact 0, so f_tilde is f
+    elif space.parallel_k:
+        # k = g / a: k(grad log H, nu) = g(grad log H, nu) / a = 0, a tangent against a normal
+        f_tilde = core - 0.5 * ksq - 0.5 * ring - jnorm
     else:
         grad_logH = sf.gradient_ambient(geom, np.log(H))
         k_gradlogH_nu = sf._bilinear(geom.k_amb, grad_logH, geom.nu)

@@ -99,10 +99,11 @@ def load_mesh(path, grid=None):
 class SurfaceGeometry:
     """All induced data on the mesh; no value changes after construction.
 
-    Each array lives only until its last reader: the ambient fill takes dg, and on
-    k != 0 data keeps the normal trace of nabla k (dnu_k_trace), not nabla k.  On
-    k = 0 data k_amb (space.k_tensor's), trk, P, dnu_k_trace and the fill's k-terms
-    are read-only zero views (ambient._zeros)."""
+    Each array lives only until its last reader: on k_fn data the ambient fill takes
+    dg and keeps the normal trace of nabla k (dnu_k_trace), not nabla k.  Where k is
+    parallel (space.parallel_k), dg is freed by the build, and dnu_k_trace and the
+    fill's nabla k, J and |J| are read-only zero views (ambient._zeros); on k = 0
+    data k_amb (space.k_tensor's), trk, P and every other k-term are too."""
 
     space: object
     mesh: SurfaceMesh
@@ -134,13 +135,13 @@ class SurfaceGeometry:
     def _fill(self):
         """(AmbientFields, dnu_k_trace), built on first use from g^{-1}, dg and k."""
         fields = _fields(self.space, self.X, self.ginv_amb, self._dg, self.k_amb)
-        if self.space.time_symmetric:
+        if self.space.parallel_k:
             return fields, _zeros(self.H.shape)
         return replace(fields, nabla_k=None), tangential_trace_dnu_k(self, fields.nabla_k)
 
     @property
     def ambient(self):
-        """AmbientFields at the nodes; nabla_k is None on k != 0 data, see dnu_k_trace."""
+        """AmbientFields at the nodes; nabla_k is None on k_fn data, see dnu_k_trace."""
         return self._fill[0]
 
     @cached_property
@@ -151,7 +152,7 @@ class SurfaceGeometry:
     @property
     def dnu_k_trace(self):
         """nabla_nu tr k - (nabla_nu k)(nu, nu) at the nodes, contracted by the fill from
-        nabla k, which is then freed; a zero view when k = 0."""
+        nabla k, which is then freed; a zero view when k is parallel."""
         return self._fill[1]
 
     @cached_property
@@ -254,8 +255,8 @@ def _completed(space, stage):
     # bilinear form W_bc = nu_a Gamma^a_bc = nu^d T_dbc / 2 on the tangent
     # frame, formed from dg without Gamma
     T = _first_kind(dg).reshape(batch + (3, 9))
-    # dg goes to the ambient fill, which takes it, or is freed here if the fill never reads it
-    dg = [] if space.time_symmetric else [dg]
+    # dg goes to the ambient fill, which takes it for nabla k on k_fn data, or is freed here
+    dg = [] if space.parallel_k else [dg]
     W = ((0.5 * nu)[..., None, :] @ T).reshape(batch + (3, 3))
     del T
     WE = W @ np.stack([e_t, e_p], axis=-1)

@@ -124,22 +124,36 @@ def test_paraboloid_radial_derivatives(paraboloid):
         assert abs(dnu_knn - 3 * alpha ** 3 * r / (1 - u) ** 3) < 1e-11
 
 
+def k_fn_twin(space):
+    """The umbilic space with its k = g / a given as k_fn and dk_fn, so that the fill
+    forms nabla k from Gamma and dk instead of stating its zero."""
+    a = space.umbilic_a
+    return dataclasses.replace(space, umbilic_a=None, k_fn=lambda p: space.metric_fn(p) / a,
+                               dk_fn=lambda p: space.dmetric_fn(p) / a)
+
+
 def test_hyperboloid_tr_k_parallel(hyperboloid):
     # tr k = 3/a is constant, so nabla_nu tr k = 0
+    twin = k_fn_twin(hyperboloid)
     pts = random_points(np.random.default_rng(5), 6)
-    nk = nabla_k_at(hyperboloid, pts)
-    ginv = np.linalg.inv(hyperboloid.metric(pts))
+    nk = nabla_k_at(twin, pts)
+    ginv = np.linalg.inv(twin.metric(pts))
     dtrk = np.einsum("...bc,...abc->...a", ginv, nk)
     assert np.max(np.abs(dtrk)) < 1e-11
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
 def test_hyperboloid_k_parallel(a):
-    # umbilic_a declares k = g / a, which is parallel: nabla k = 0, so J = 0 too
+    # umbilic_a declares k = g / a, which is parallel: nabla k = 0, so J = 0 too.  The
+    # k_fn twin forms both from Gamma and dk; the umbilic space states them as exact zeros
     space = catalog("hyperboloid", a=a)
     pts = random_points(np.random.default_rng(17), 40, 0.1, 6.0)
-    assert np.max(np.abs(nabla_k_at(space, pts))) <= 1e-13
-    assert np.max(constraint_data_at(space, pts).jnorm) <= 1e-11
+    twin = k_fn_twin(space)
+    assert np.max(np.abs(nabla_k_at(twin, pts))) <= 1e-13
+    assert np.max(constraint_data_at(twin, pts).jnorm) <= 1e-11
+    data = constraint_data_at(space, pts)
+    for zero in (data.nabla_k, data.J, data.jnorm):
+        assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
 
 
 # -- constraint_data_at ------------------------------------------------------
@@ -172,19 +186,27 @@ def test_hyperboloid_constraint_closed_form(hyperboloid):
 
 
 def test_point_evaluators_form_christoffels_only_for_nabla_k(monkeypatch, hyperboloid,
-                                                            schwarzschild):
-    # Gamma is formed once for nabla k on k != 0 data and not at all on
-    # time-symmetric catalog data, whose Ricci tensor is closed-form
-    calls = []
+                                                            schwarzschild, paraboloid):
+    # dg and Gamma are formed once for nabla k on k_fn data, and not at all where k is
+    # parallel: on time-symmetric catalog data, whose Ricci tensor is closed-form, and on
+    # umbilic data, whose nabla k is an exact zero
+    calls, dg_calls = [], []
     christoffels = amb._christoffels
     monkeypatch.setattr(amb, "_christoffels", lambda *args: calls.append(1) or christoffels(*args))
-    pts = random_points(np.random.default_rng(12), 5, 3.0, 6.0)
-    for evaluate, space, count in ((constraint_data_at, hyperboloid, 1),
-                                   (nabla_k_at, hyperboloid, 1),
-                                   (constraint_data_at, schwarzschild, 0)):
+    rng = np.random.default_rng(12)
+    outside, inside = random_points(rng, 5, 3.0, 6.0), random_points(rng, 5, 0.3, 1.8)
+    for evaluate, space, pts, count in ((constraint_data_at, hyperboloid, outside, 0),
+                                        (nabla_k_at, hyperboloid, outside, 0),
+                                        (constraint_data_at, schwarzschild, outside, 0),
+                                        (constraint_data_at, paraboloid, inside, 1),
+                                        (nabla_k_at, paraboloid, inside, 1)):
         calls.clear()
-        evaluate(space, pts)
-        assert len(calls) == count, (evaluate.__name__, space.name)
+        dg_calls.clear()
+        dmetric = space.dmetric_fn
+        counted = dataclasses.replace(
+            space, dmetric_fn=lambda p, dmetric=dmetric: dg_calls.append(1) or dmetric(p))
+        evaluate(counted, pts)
+        assert len(calls) == len(dg_calls) == count, (evaluate.__name__, space.name)
 
 
 # -- catalog -----------------------------------------------------------------

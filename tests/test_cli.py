@@ -346,113 +346,190 @@ def sweep_with(catalog_space, **top):
     return "sweep", json.dumps(dict(run, **top))
 
 
+# each case keeps a fixed id, so that adding or removing a case renames no other one; the
+# ids are the positional ones these cases were collected under, which test lists name, and
+# a new case takes a new id
 @pytest.mark.parametrize("breakage", [
-    lambda: ("eval", "{broken"),
-    lambda: ("eval", json.dumps({"space": {"name": "euclidean"}, "grid": [48, 96]})),
-    lambda: ("eval", json.dumps({"space": {"name": "euclidean"},
-                                 "surface": {"sphere_r": 1.0, "mesh_file": "x"},
-                                 "grid": [48, 96]})),
-    lambda: ("eval", json.dumps({"space": {"name": "euclidean"},
-                                 "surface": {"sphere_r": 1.0}, "grid": [8, 16]})),
-    lambda: ("eval", json.dumps({"space": {"name": "no_such_space"},
-                                 "surface": {"sphere_r": 1.0}, "grid": [48, 96]})),
-    lambda: broken("eval", grid=48),
-    lambda: broken("eval", grid=["48", "96"]),
-    lambda: broken("eval", output="x"),
-    lambda: broken("eval", hypothesis=5),
-    lambda: broken("residual", lambda_el=[1]),
-    lambda: broken("flow", flow={"target_area": "x"}),
-    lambda: broken("varcheck", varcheck={"lapse": [2, 0]}),
-    lambda: broken("varcheck", varcheck={"s_values": [0.0, 0.01]}),
-    lambda: broken_sweep(params=5),
-    lambda: broken_sweep(r_values=5),
-    lambda: broken_sweep(params={"mass": 2.0}),
-    lambda: ("eval", "[1, 2]"),
+    pytest.param(lambda: ("eval", "{broken"), id="<lambda>0"),
+    pytest.param(
+        lambda: ("eval", json.dumps({"space": {"name": "euclidean"}, "grid": [48, 96]})),
+        id="<lambda>1"),
+    pytest.param(
+        lambda: ("eval", json.dumps({"space": {"name": "euclidean"},
+                                     "surface": {"sphere_r": 1.0, "mesh_file": "x"},
+                                     "grid": [48, 96]})),
+        id="<lambda>2"),
+    pytest.param(
+        lambda: ("eval", json.dumps({"space": {"name": "euclidean"},
+                                     "surface": {"sphere_r": 1.0}, "grid": [8, 16]})),
+        id="<lambda>3"),
+    pytest.param(
+        lambda: ("eval", json.dumps({"space": {"name": "no_such_space"},
+                                     "surface": {"sphere_r": 1.0}, "grid": [48, 96]})),
+        id="<lambda>4"),
+    pytest.param(lambda: broken("eval", grid=48), id="<lambda>5"),
+    pytest.param(lambda: broken("eval", grid=["48", "96"]), id="<lambda>6"),
+    pytest.param(lambda: broken("eval", output="x"), id="<lambda>7"),
+    pytest.param(lambda: broken("eval", hypothesis=5), id="<lambda>8"),
+    pytest.param(lambda: broken("residual", lambda_el=[1]), id="<lambda>9"),
+    pytest.param(lambda: broken("flow", flow={"target_area": "x"}), id="<lambda>10"),
+    pytest.param(lambda: broken("varcheck", varcheck={"lapse": [2, 0]}), id="<lambda>11"),
+    pytest.param(lambda: broken("varcheck", varcheck={"s_values": [0.0, 0.01]}), id="<lambda>12"),
+    pytest.param(lambda: broken_sweep(params=5), id="<lambda>13"),
+    pytest.param(lambda: broken_sweep(r_values=5), id="<lambda>14"),
+    pytest.param(lambda: broken_sweep(params={"mass": 2.0}), id="<lambda>15"),
+    pytest.param(lambda: ("eval", "[1, 2]"), id="<lambda>16"),
     # flow settings that are out of range or not settings; the error line must name the field
-    lambda: broken_flow(max_backtracks=-1),
-    lambda: broken_flow(smoothing_tau=-0.25),
-    lambda: broken_flow(initial_step=-0.1),
-    lambda: broken_flow(max_steps=-3),
+    pytest.param(lambda: broken_flow(max_backtracks=-1), id="<lambda>17"),
+    pytest.param(lambda: broken_flow(smoothing_tau=-0.25), id="<lambda>18"),
+    pytest.param(lambda: broken_flow(initial_step=-0.1), id="<lambda>19"),
+    pytest.param(lambda: broken_flow(max_steps=-3), id="<lambda>20"),
     # unknown keys are errors that name the key, not silently dropped
-    lambda: broken_flow(residual_tl=1e-5),
-    lambda: ("varcheck", json.dumps(dict(VALID_RUN, varcheck={"lapse": {"l": 2, "ell": 3}})),
-             "varcheck.lapse.ell"),
+    pytest.param(lambda: broken_flow(residual_tl=1e-5), id="<lambda>21"),
+    pytest.param(
+        lambda: ("varcheck", json.dumps(dict(VALID_RUN, varcheck={"lapse": {"l": 2, "ell": 3}})),
+                 "varcheck.lapse.ell"),
+        id="<lambda>22"),
     # a space form is given by its scale or by Lambda, not both
-    lambda: broken("eval", space={"name": "hyperbolic", "params": {"a": 2.0, "Lambda": -3.0}}),
+    pytest.param(
+        lambda: broken("eval", space={"name": "hyperbolic", "params": {"a": 2.0, "Lambda": -3.0}}),
+        id="<lambda>23"),
     # JSON's NaN parses to a float; the catalog names the non-finite parameter
-    lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": float("nan")}}),
-             "'a'", "finite"),
+    pytest.param(
+        lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": float("nan")}}),
+                 "'a'", "finite"),
+        id="<lambda>24"),
     # an integer model parameter is not truncated (n = 3.7 used to run as n = 3)
-    lambda: (*broken_sweep(params={"n": 3.7, "m": 1.0}, r_values=[3.0]), "'n'", "integer"),
+    pytest.param(
+        lambda: (*broken_sweep(params={"n": 3.7, "m": 1.0}, r_values=[3.0]), "'n'", "integer"),
+        id="<lambda>25"),
     # a float catalog parameter is a number, not a bool (a = true used to run as a = 1)
-    lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": True}}), "'a'"),
+    pytest.param(
+        lambda: (*broken("eval", space={"name": "hyperboloid", "params": {"a": True}}), "'a'"),
+        id="<lambda>26"),
     # harmonic degree and order are integers ([2.7, true, 0.05] used to run as [2, 1, 0.05])
-    lambda: (*broken("eval", surface={"round_r": 1.0, "perturbations": [[2.7, True, 0.05]]}),
-             "surface.perturbations[0].l"),
+    pytest.param(
+        lambda: (*broken("eval", surface={"round_r": 1.0, "perturbations": [[2.7, True, 0.05]]}),
+                 "surface.perturbations[0].l"),
+        id="<lambda>27"),
     # unknown keys in surface and hypothesis name the key
-    lambda: (*broken("eval", surface={"sphere_r": 1.0, "centre": [0.1, 0.0, 0.0]}),
-             "surface.centre"),
-    lambda: (*broken("eval", hypothesis={"betta": 0.3}), "hypothesis.betta"),
+    pytest.param(
+        lambda: (*broken("eval", surface={"sphere_r": 1.0, "centre": [0.1, 0.0, 0.0]}),
+                 "surface.centre"),
+        id="<lambda>28"),
+    pytest.param(
+        lambda: (*broken("eval", hypothesis={"betta": 0.3}), "hypothesis.betta"),
+        id="<lambda>29"),
     # a surface setting that its source does not read (both used to be dropped)
-    lambda: (*broken("eval", surface={"sphere_r": 1.0, "perturbations": [[2, 0, 0.3]]}),
-             "'surface.perturbations'", "'sphere_r'"),
-    lambda: (*broken("eval", surface={"mesh_file": "x", "center": [0.1, 0.0, 0.0]}),
-             "'surface.center'", "'mesh_file'"),
+    pytest.param(
+        lambda: (*broken("eval", surface={"sphere_r": 1.0, "perturbations": [[2, 0, 0.3]]}),
+                 "'surface.perturbations'", "'sphere_r'"),
+        id="<lambda>30"),
+    pytest.param(
+        lambda: (*broken("eval", surface={"mesh_file": "x", "center": [0.1, 0.0, 0.0]}),
+                 "'surface.center'", "'mesh_file'"),
+        id="<lambda>31"),
     # r ** (n - 2) overflows at n = 1000: a NumericError naming the model, n and r
-    lambda: (*broken_sweep(params={"m": 1.0, "n": 1000}, r_values=[3.0]),
-             "'schwarzschild'", "n = 1000", "r = 3.0"),
+    pytest.param(
+        lambda: (*broken_sweep(params={"m": 1.0, "n": 1000}, r_values=[3.0]),
+                 "'schwarzschild'", "n = 1000", "r = 3.0"),
+        id="<lambda>32"),
     # n = 2 is rejected before schwarzschild's horizon (2m)^(1/(n - 2)) divides by zero
-    lambda: (*broken_sweep(params={"m": 1.0, "n": 2}), "'schwarzschild'", "n = 2"),
+    pytest.param(
+        lambda: (*broken_sweep(params={"m": 1.0, "n": 2}), "'schwarzschild'", "n = 2"),
+        id="<lambda>33"),
     # r ** 2 underflows to 0 at r = 1e-300: a NumericError naming the model, n and r (it
     # used to end in a ZeroDivisionError traceback)
-    lambda: (*broken_sweep(model="euclidean", params={"n": 4}, r_values=[1e-300]),
-             "'euclidean'", "n = 4", "r = 1e-300"),
+    pytest.param(
+        lambda: (*broken_sweep(model="euclidean", params={"n": 4}, r_values=[1e-300]),
+                 "'euclidean'", "n = 4", "r = 1e-300"),
+        id="<lambda>34"),
     # a finite input that overflows inside a task: the library's finiteness check is the one
     # line, with no numpy RuntimeWarning printed before it
-    lambda: (*broken("residual", space={"name": "schwarzschild"}, surface={"sphere_r": 4.0},
-                     mode="hawking", lambda_el=1e300), "non-finite"),
-    lambda: (*broken("eval", surface={"round_r": 1.7e308}), "non-finite chart radius"),
-    lambda: (*broken("eval", space={"name": "hyperboloid"}, surface={"round_r": 1.0},
-                     hypothesis={"beta": 1.7e308}), "non-finite"),
+    pytest.param(
+        lambda: (*broken("residual", space={"name": "schwarzschild"}, surface={"sphere_r": 4.0},
+                         mode="hawking", lambda_el=1e300), "non-finite"),
+        id="<lambda>35"),
+    pytest.param(
+        lambda: (*broken("eval", surface={"round_r": 1.7e308}), "non-finite chart radius"),
+        id="<lambda>36"),
+    pytest.param(
+        lambda: (*broken("eval", space={"name": "hyperboloid"}, surface={"round_r": 1.0},
+                         hypothesis={"beta": 1.7e308}), "non-finite"),
+        id="<lambda>37"),
     # non-finite numbers, which JSON's NaN and Infinity parse to, and an integer
     # beyond a float's range
-    lambda: broken_flow(residual_tol=float("nan")),
-    lambda: (*broken("eval", Lambda=float("inf")), "'Lambda'", "finite"),
-    lambda: (*broken("eval", Lambda=10 ** 400), "'Lambda'", "finite"),
+    pytest.param(lambda: broken_flow(residual_tol=float("nan")), id="<lambda>38"),
+    pytest.param(
+        lambda: (*broken("eval", Lambda=float("inf")), "'Lambda'", "finite"),
+        id="<lambda>39"),
+    pytest.param(
+        lambda: (*broken("eval", Lambda=10 ** 400), "'Lambda'", "finite"),
+        id="<lambda>40"),
     # unknown keys at the top level and in every section name the key
-    lambda: (*broken("eval", Lamda=-3.0), "'Lamda'"),
-    lambda: (*broken("eval", output={"fromat": "csv"}), "output.fromat"),
-    lambda: (*broken("eval", space={"name": "euclidean", "parms": {}}), "space.parms"),
-    lambda: (*broken_sweep(r_value=[4.0]), "sweep.r_value"),
-    lambda: (*broken("varcheck", varcheck={"s_value": [0.01]}), "varcheck.s_value"),
+    pytest.param(lambda: (*broken("eval", Lamda=-3.0), "'Lamda'"), id="<lambda>41"),
+    pytest.param(
+        lambda: (*broken("eval", output={"fromat": "csv"}), "output.fromat"),
+        id="<lambda>42"),
+    pytest.param(
+        lambda: (*broken("eval", space={"name": "euclidean", "parms": {}}), "space.parms"),
+        id="<lambda>43"),
+    pytest.param(lambda: (*broken_sweep(r_value=[4.0]), "sweep.r_value"), id="<lambda>44"),
+    pytest.param(
+        lambda: (*broken("varcheck", varcheck={"s_value": [0.01]}), "varcheck.s_value"),
+        id="<lambda>45"),
     # a catalog space's sweep takes no radial model
-    lambda: ("sweep", json.dumps({"space": {"name": "schwarzschild"},
-                                  "sweep": {"model": "schwarzschild", "r_values": [4.0]}}),
-             "sweep.model"),
+    pytest.param(
+        lambda: ("sweep", json.dumps({"space": {"name": "schwarzschild"},
+                                      "sweep": {"model": "schwarzschild", "r_values": [4.0]}}),
+                 "sweep.model"),
+        id="<lambda>46"),
     # a setting that a sweep would not read is an error that names it
-    lambda: (*sweep_with(True, surface={"sphere_r": 1.0, "center": [0.5, 0.0, 0.0]}),
-             "'surface'", "catalog-space sweep"),
-    lambda: (*sweep_with(True, lambda_el=0.3), "'lambda_el'", "catalog-space sweep"),
-    lambda: (*sweep_with(False, Lambda=-3.0), "'Lambda'", "radial-model sweep"),
-    lambda: (*sweep_with(False, hypothesis={"beta": 0.25}), "'hypothesis'", "radial-model sweep"),
+    pytest.param(
+        lambda: (*sweep_with(True, surface={"sphere_r": 1.0, "center": [0.5, 0.0, 0.0]}),
+                 "'surface'", "catalog-space sweep"),
+        id="<lambda>47"),
+    pytest.param(
+        lambda: (*sweep_with(True, lambda_el=0.3), "'lambda_el'", "catalog-space sweep"),
+        id="<lambda>48"),
+    pytest.param(
+        lambda: (*sweep_with(False, Lambda=-3.0), "'Lambda'", "radial-model sweep"),
+        id="<lambda>49"),
+    pytest.param(
+        lambda: (*sweep_with(False, hypothesis={"beta": 0.25}), "'hypothesis'",
+                 "radial-model sweep"),
+        id="<lambda>50"),
     # a radial sweep's dimension is the model parameter sweep.params.n
-    lambda: (*broken_sweep(n=4, params={"m": 1.0}), "field 'sweep.n' is not a setting"),
+    pytest.param(
+        lambda: (*broken_sweep(n=4, params={"m": 1.0}), "field 'sweep.n' is not a setting"),
+        id="<lambda>51"),
     # a lapse takes one of its two forms (seed and lmax used to be dropped)
-    lambda: (*broken("varcheck", varcheck={"lapse": {"l": 2, "m": 0, "seed": 7, "lmax": 4}}),
-             "varcheck.lapse"),
+    pytest.param(
+        lambda: (*broken("varcheck", varcheck={"lapse": {"l": 2, "m": 0, "seed": 7, "lmax": 4}}),
+                 "varcheck.lapse"),
+        id="<lambda>52"),
     # a harmonic-form key without l, or no key at all, used to run the seeded lapse
-    lambda: (*broken("varcheck", varcheck={"lapse": {"m": 1}}), "'varcheck.lapse.l'"),
-    lambda: (*broken("varcheck", varcheck={"lapse": {"amplitude": 2}}), "'varcheck.lapse.l'"),
-    lambda: (*broken("varcheck", varcheck={"lapse": {}}), "'varcheck.lapse'"),
+    pytest.param(
+        lambda: (*broken("varcheck", varcheck={"lapse": {"m": 1}}), "'varcheck.lapse.l'"),
+        id="<lambda>53"),
+    pytest.param(
+        lambda: (*broken("varcheck", varcheck={"lapse": {"amplitude": 2}}), "'varcheck.lapse.l'"),
+        id="<lambda>54"),
+    pytest.param(
+        lambda: (*broken("varcheck", varcheck={"lapse": {}}), "'varcheck.lapse'"),
+        id="<lambda>55"),
     # mode is checked on every task that reads it ('wilmore' used to run eval, and to reach
     # the library's error on residual and flow)
-    *[lambda task=task: (*broken(task, mode="wilmore"), "'mode'", "willmore")
-      for task in ("eval", "residual", "flow", "varcheck")],
+    *[pytest.param(lambda task=task: (*broken(task, mode="wilmore"), "'mode'", "willmore"),
+                   id=f"<lambda>{i}")
+      for i, task in enumerate(("eval", "residual", "flow", "varcheck"), 56)],
     # an odd nphi used to reach SphereGrid's own error
-    lambda: (*broken("eval", grid=[16, 33]), "'grid'", "even nphi"),
+    pytest.param(lambda: (*broken("eval", grid=[16, 33]), "'grid'", "even nphi"), id="<lambda>60"),
     # Y_40,3 lies outside the 16x32 band (it used to be aliased silently)
-    lambda: (*broken("eval", surface={"round_r": 1.0, "perturbations": [[40, 3, 0.01]]}),
-             "'surface.perturbations[0].l'"),
+    pytest.param(
+        lambda: (*broken("eval", surface={"round_r": 1.0, "perturbations": [[40, 3, 0.01]]}),
+                 "'surface.perturbations[0].l'"),
+        id="<lambda>61"),
 ])
 def test_exit_code_config_errors(tmp_path, capsys, breakage):
     task, text, *named = breakage()

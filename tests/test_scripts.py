@@ -184,7 +184,16 @@ def test_report_drift_compare_runs():
     change = {"same": (0, ""), "moved": (1, "Traceback ...\nGeometryError: degenerate\n"),
               "failed": (1, message)}
     assert report_drift.compare_runs(parent, change) == [
-        f"moved: stderr {message.strip()!r} in parent, 'GeometryError: degenerate' in change",
+        f"moved: stderr line 1 {message.strip()!r} in parent, 'Traceback ...' in change",
         "failed: exit code 0 in parent, 1 in change",
-        f"failed: stderr '' in parent, {message.strip()!r} in change"]
+        f"failed: stderr line 1 '' in parent, {message.strip()!r} in change"]
     assert report_drift.compare_runs(parent, parent) == []
+    # a difference before the last line is listed at its line; a line one side lacks is None
+    warning = "<checkout>/src/qll/criticality.py:{}: RuntimeWarning: overflow encountered " \
+        "in square\n  R = R0 + lam * H\nerror: non-finite field value in quadrature\n"
+    parent = {"warned": (1, warning.format(69)), "longer": (1, message.strip())}
+    change = {"warned": (1, warning.format(70)), "longer": (1, message.strip() + "\nmore")}
+    assert report_drift.compare_runs(parent, change) == [
+        f"warned: stderr line 1 {warning.format(69).splitlines()[0]!r} in parent, "
+        f"{warning.format(70).splitlines()[0]!r} in change",
+        "longer: stderr line 2 None in parent, 'more' in change"]

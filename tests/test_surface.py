@@ -373,11 +373,12 @@ def test_mean_curvature_sign_convention(grid32, euclidean):
     assert np.all(outward > 0.0)
 
 
-@pytest.mark.parametrize("name", ["hyperboloid", "schwarzschild"])
+@pytest.mark.parametrize("name", ["hyperboloid", "schwarzschild", "paraboloid"])
 def test_each_ambient_contraction_runs_once_per_surface(grid24, name, request, monkeypatch):
     # Ric(nu, nu) and nabla_nu tr k - (nabla_nu k)(nu, nu) are cached on the geometry and
     # read by the energy report, both residual modes and the Gauss-equation check; the
-    # second is never contracted on k = 0 data, where it is an exact +0.0
+    # second is contracted from nabla k on k_fn data only.  Where k is parallel (k = 0, or
+    # the hyperboloid's k = g / a) it is an exact +0.0, and so are nabla k and J
     space = request.getfixturevalue(name)
     traces, ric_nn = [], []
     trace, bilinear = sf.tangential_trace_dnu_k, sf._bilinear
@@ -400,8 +401,9 @@ def test_each_ambient_contraction_runs_once_per_surface(grid24, name, request, m
     residual_report(space, geom, "hawking")
     sf.gauss_equation_check(space, geom)
     assert len(ric_nn) == 1
-    if space.time_symmetric:
+    if space.parallel_k:
         assert traces == []
-        assert np.all(geom.dnu_k_trace == 0.0) and not np.any(np.signbit(geom.dnu_k_trace))
+        for zero in (geom.dnu_k_trace, geom.ambient.nabla_k, geom.ambient.J):
+            assert np.all(zero == 0.0) and not np.any(np.signbit(zero))
     else:
         assert traces == [geom]
